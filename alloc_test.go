@@ -143,3 +143,56 @@ func TestVFDTCategoricalZeroAllocs(t *testing.T) {
 		t.Fatalf("categorical VFDT Predict allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// versionStepper is a stub learner whose every Learn is a structural
+// event, serving one shared immutable snapshot (itself), so a publish
+// costs only the scorer's own bookkeeping.
+type versionStepper struct{ version uint64 }
+
+func (v *versionStepper) Learn(Batch)              { v.version++ }
+func (v *versionStepper) Predict([]float64) int    { return 0 }
+func (v *versionStepper) Complexity() Complexity   { return Complexity{} }
+func (v *versionStepper) Name() string             { return "stepper" }
+func (v *versionStepper) Snapshot() ModelSnapshot  { return v }
+func (v *versionStepper) StructureVersion() uint64 { return v.version }
+
+// Publish-on-change Learn must stay allocation-free for the change
+// signal behind Scorer.Changed: a Learn that moves the version allocates
+// exactly what its publish does (the published-state header, by design)
+// and nothing for the signal when no one waits, and a Learn that does
+// not move it allocates nothing, whether or not someone waits.
+func TestOnChangeLearnSignalZeroAllocs(t *testing.T) {
+	s, err := NewSnapshotOnChangeScorer(&versionStepper{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := testing.AllocsPerRun(200, s.Publish)
+	var b Batch
+	if avg := testing.AllocsPerRun(200, func() { s.Learn(b) }); avg != publish {
+		t.Fatalf("version-moving on-change Learn allocates %.2f allocs/op, its publish %.2f: the change signal allocates", avg, publish)
+	}
+
+	batches := linearBenchBatches(8, 16, 100, 9)
+	dmt, err := NewSnapshotOnChangeScorer(NewDMT(DMTConfig{Seed: 4}, Schema{NumFeatures: 8, NumClasses: 2, Name: "alloc"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		dmt.Learn(b)
+	}
+	if v, _ := dmt.StructureVersion(); v != 0 {
+		t.Skip("tree split during warm-up; steady state not reachable with this data")
+	}
+	i := 0
+	learn := func() {
+		dmt.Learn(batches[i&15])
+		i++
+	}
+	if avg := testing.AllocsPerRun(200, learn); avg != 0 {
+		t.Fatalf("steady-state on-change Learn allocates %.2f allocs/op, want 0", avg)
+	}
+	dmt.Changed() // a parked waiter
+	if avg := testing.AllocsPerRun(200, learn); avg != 0 {
+		t.Fatalf("steady-state on-change Learn with a waiter allocates %.2f allocs/op, want 0", avg)
+	}
+}

@@ -13,6 +13,7 @@ package repro
 // micro-benchmarks of the hot paths.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -440,6 +441,48 @@ func BenchmarkSnapshotPublishOp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Publish()
+	}
+}
+
+// BenchmarkScorerRestoreAged measures one replica install — a
+// SnapshotScorer.Restore of a Forest Ens. envelope — for envelopes taken
+// after 10k and after 200k training rows. The ensemble draws a Poisson
+// weight per member and row, so the RNG position it checkpoints grows
+// with the trainer's age. The restore only records that position, so
+// the install pays for model size alone: the older forest is larger
+// (envelope_B), and ns/op follows it, but ns/envelope_B should not grow
+// from the younger to the older forest. An eager RNG replay shows up as
+// a per-byte cost that grows with the row count.
+func BenchmarkScorerRestoreAged(b *testing.B) {
+	schema := synth.NewSEA(100, 0.1, 1).Schema()
+	serveForest := func() Scorer {
+		return MustServe("Forest Ens.", schema, WithPublishOnChange(), WithServeModelOptions(WithSeed(1)))
+	}
+	for _, rows := range []int{10_000, 200_000} {
+		trainer := serveForest()
+		gen := synth.NewSEA(rows, 0.1, 1)
+		for n := 0; n < rows; n += 100 {
+			bt, err := stream.NextBatch(gen, 100)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trainer.Learn(bt)
+		}
+		var env bytes.Buffer
+		if err := trainer.Checkpoint(&env); err != nil {
+			b.Fatal(err)
+		}
+		replica := serveForest()
+		b.Run(fmt.Sprintf("rows=%dk", rows/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := replica.Restore(bytes.NewReader(env.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(env.Len()), "envelope_B")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(env.Len()), "ns/envelope_B")
+		})
 	}
 }
 

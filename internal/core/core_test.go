@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -397,6 +398,57 @@ func TestChangeLogCapped(t *testing.T) {
 	}
 	if changes[len(changes)-1].Step != maxChangeLog+99 {
 		t.Fatal("newest change lost")
+	}
+}
+
+// The change log is a ring once full, but it must still read — and
+// checkpoint — oldest first: a wrapped ring saves the same bytes as the
+// linear log it stands for, and a loaded tree keeps logging in step with
+// the original.
+func TestChangeLogRingOrderAndCheckpoint(t *testing.T) {
+	tree := New(Config{Seed: 11}, schema(2, 2))
+	const events = maxChangeLog + 1500
+	for i := 0; i < events; i++ {
+		tree.logChange(ChangeEvent{Step: i})
+	}
+	changes := tree.Changes()
+	if len(changes) != maxChangeLog {
+		t.Fatalf("change log length %d, want cap %d", len(changes), maxChangeLog)
+	}
+	for i, ev := range changes {
+		if want := events - maxChangeLog + i; ev.Step != want {
+			t.Fatalf("changes[%d].Step = %d, want %d (oldest first)", i, ev.Step, want)
+		}
+	}
+
+	var saved bytes.Buffer
+	if err := tree.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+		t.Fatal("a wrapped ring and its loaded, linear copy checkpoint differently")
+	}
+	for i := events; i < events+3000; i++ {
+		tree.logChange(ChangeEvent{Step: i})
+		loaded.logChange(ChangeEvent{Step: i})
+	}
+	var a, b bytes.Buffer
+	if err := tree.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("original and loaded trees diverge after logging more events")
 	}
 }
 

@@ -80,7 +80,11 @@ type Tree struct {
 	step    int
 
 	splits, replaces, prunes int
-	changes                  []ChangeEvent
+	// changes is a ring of at most maxChangeLog events: it fills by
+	// append, then changeHead marks the oldest entry, which the next
+	// event overwrites.
+	changes    []ChangeEvent
+	changeHead int
 }
 
 // New returns an empty DMT for the schema. The root starts as a single
@@ -285,11 +289,12 @@ func (t *Tree) replace(n *node, c splitChoice, thr float64) {
 }
 
 func (t *Tree) logChange(ev ChangeEvent) {
-	if len(t.changes) >= maxChangeLog {
-		copy(t.changes, t.changes[1:])
-		t.changes = t.changes[:maxChangeLog-1]
+	if len(t.changes) < maxChangeLog {
+		t.changes = append(t.changes, ev)
+		return
 	}
-	t.changes = append(t.changes, ev)
+	t.changes[t.changeHead] = ev
+	t.changeHead = (t.changeHead + 1) % len(t.changes)
 }
 
 // sortTo routes x to its leaf via the shared model.RouteSplit predicate.
@@ -376,9 +381,9 @@ func (t *Tree) Snapshot() model.Snapshot {
 
 // Changes returns the retained structural-change history (oldest first).
 func (t *Tree) Changes() []ChangeEvent {
-	out := make([]ChangeEvent, len(t.changes))
-	copy(out, t.changes)
-	return out
+	out := make([]ChangeEvent, 0, len(t.changes))
+	out = append(out, t.changes[t.changeHead:]...)
+	return append(out, t.changes[:t.changeHead]...)
 }
 
 // Revisions returns the lifetime counts of splits, replacements and

@@ -73,3 +73,37 @@ func TestComplexityAdd(t *testing.T) {
 		t.Fatal("Add depth asymmetric")
 	}
 }
+
+// Broadcast hands out one channel per round: every waiter of a round is
+// released by the next Fire, and a later Wait starts a fresh, open
+// channel.
+func TestBroadcastWakesWaitersOfOneRound(t *testing.T) {
+	var b Broadcast
+	b.Fire() // no waiters: a no-op
+	w1, w2 := b.Wait(), b.Wait()
+	if w1 != w2 {
+		t.Fatal("two waits in one round got different channels")
+	}
+	select {
+	case <-w1:
+		t.Fatal("channel closed before Fire")
+	default:
+	}
+	b.Fire()
+	<-w1
+	<-w2
+	select {
+	case <-b.Wait():
+		t.Fatal("a wait after Fire got an already-closed channel")
+	default:
+	}
+}
+
+// Firing with nobody waiting must not allocate: it sits on the Learn
+// path of every serving scorer.
+func TestBroadcastFireZeroAllocs(t *testing.T) {
+	var b Broadcast
+	if avg := testing.AllocsPerRun(200, b.Fire); avg != 0 {
+		t.Fatalf("Broadcast.Fire allocates %.2f allocs/op, want 0", avg)
+	}
+}

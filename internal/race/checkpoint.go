@@ -301,4 +301,5 @@ func (r *Racer) install(hdr *raceHeader, arms []*arm) {
 	r.version.Store(v)
 	r.cfg.Schema = hdr.Schema
 	r.publish()
+	r.change.Fire()
 }

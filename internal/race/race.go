@@ -10,9 +10,9 @@
 //
 // The Racer implements the serving Scorer contract structurally —
 // Learn/Predict/Proba/batch variants/Complexity/Schema/
-// StructureVersion/Unwrap/Checkpoint/Restore — so it slots unchanged
-// into the prequential evaluator, the HTTP serving tier and the
-// checkpoint tooling. Training the arms runs on the same member-major
+// StructureVersion/Changed/Unwrap/Checkpoint/Restore — so it slots
+// unchanged into the prequential evaluator, the HTTP serving tier and
+// the checkpoint tooling. Training the arms runs on the same member-major
 // bounded worker pool the ensembles use: indices are claimed from an
 // atomic counter and every arm owns its model, tracker, detector and
 // scratch buffers, which makes parallel runs byte-identical to
@@ -168,6 +168,7 @@ type Racer struct {
 	events        []SwapEvent
 
 	version atomic.Uint64
+	change  model.Broadcast // fired when version moves
 	view    atomic.Pointer[view]
 	name    string
 }
@@ -436,6 +437,7 @@ func (r *Racer) Learn(b stream.Batch) {
 	}
 	if bump > 0 {
 		r.version.Add(bump)
+		r.change.Fire()
 	}
 	r.publish()
 }
@@ -602,6 +604,10 @@ func (r *Racer) Schema() stream.Schema { return r.cfg.Schema }
 // with arm structural changes, leader swaps, re-races and restores, so
 // envelope caching and publish-on-change work across warm restarts.
 func (r *Racer) StructureVersion() (uint64, bool) { return r.version.Load(), true }
+
+// Changed returns a channel closed on the next Learn that moves the
+// racer's version, or on Restore.
+func (r *Racer) Changed() <-chan struct{} { return r.change.Wait() }
 
 // Unwrap returns the current leader's live classifier (the probabilistic
 // gate of the evaluator inspects it). Not safe to use concurrently with

@@ -4,9 +4,14 @@
 // different random trajectory than an uninterrupted run. The counted
 // Source wraps the exact same underlying generator — so all existing
 // random draws are bit-identical — while counting how many times it was
-// advanced. Checkpoints persist (seed, draws); Restore re-seeds and
-// replays the counted draws, after which the resumed generator continues
-// the original sequence exactly.
+// advanced. Checkpoints persist (seed, draws).
+//
+// Restore is lazy: it records the state and returns at once, and the
+// source re-seeds and replays the counted draws only when it is first
+// drawn from. The O(draws) replay therefore moves from every restore to
+// the first draw after one — a serving replica, which installs
+// checkpoints but never trains, never pays it, while a resumed trainer
+// pays it once and then continues the original sequence exactly.
 package rng
 
 import "math/rand"
@@ -25,7 +30,7 @@ type State struct {
 // is added. Like the source it wraps, it is not safe for concurrent use.
 type Source struct {
 	state State
-	src   rand.Source64
+	src   rand.Source64 // a *pending until the first draw after Restore
 }
 
 // NewSource returns a counted source seeded like rand.NewSource(seed).
@@ -54,32 +59,59 @@ func (s *Source) Uint64() uint64 {
 	return s.src.Uint64()
 }
 
-// Seed implements rand.Source, restarting the count.
+// Seed implements rand.Source, restarting the count. On a restored
+// source that has not replayed yet it simply drops the pending replay.
 func (s *Source) Seed(seed int64) {
 	s.state = State{Seed: seed}
 	s.src.Seed(seed)
 }
 
 // State returns the checkpointable state at this point of the sequence.
+// It never triggers a pending replay.
 func (s *Source) State() State { return s.state }
 
-// Restore returns a *rand.Rand (and its counted source) fast-forwarded
-// to the given state: it seeds with st.Seed and replays st.Draws steps,
-// so the next draw matches what the checkpointed generator would have
-// produced next.
-//
-// Replay costs O(draws) at a few ns per step. The tree learners draw at
-// most a handful of values per batch, so their restores are effectively
-// free; the ensembles draw a Poisson sample per member-instance
-// (~lambda+1 steps each), so after a billion instances a member's
-// replay takes seconds of CPU — acceptable for restart-scale events,
-// but a seekable counter-based generator would make this O(1) at the
-// cost of changing every model's random trajectory (see ROADMAP).
-func Restore(st State) (*rand.Rand, *Source) {
-	s := NewSource(st.Seed)
-	for i := uint64(0); i < st.Draws; i++ {
-		s.src.Uint64()
+// pending stands in for the generator a lazy Restore deferred. Its first
+// use swaps the real generator into its owner, so the draw path itself
+// carries no check: after that one call the owner never reaches pending
+// again.
+type pending struct {
+	owner *Source
+	st    State
+}
+
+// materialise seeds the real generator, advances it by the recorded
+// draw count and installs it in the owner.
+func (p *pending) materialise() rand.Source64 {
+	src := rand.NewSource(p.st.Seed).(rand.Source64)
+	for i := uint64(0); i < p.st.Draws; i++ {
+		src.Uint64()
 	}
-	s.state = st
+	p.owner.src = src
+	return src
+}
+
+func (p *pending) Int63() int64   { return p.materialise().Int63() }
+func (p *pending) Uint64() uint64 { return p.materialise().Uint64() }
+
+// Seed re-seeds without replaying: the recorded position is discarded.
+func (p *pending) Seed(seed int64) {
+	p.owner.src = rand.NewSource(seed).(rand.Source64)
+}
+
+// Restore returns a *rand.Rand (and its counted source) positioned at the
+// given state: the next draw matches what the checkpointed generator
+// would have produced next. Restore itself is O(1) — it only records st.
+// The seed-and-replay costs O(draws) at a few ns per step and is paid on
+// the first draw, if one ever comes: a replica that installs checkpoints
+// without training never draws, so its installs cost nothing here no
+// matter how long the trainer has run. A resumed trainer pays the replay
+// once; for the ensembles, which draw a Poisson sample per
+// member-instance (~lambda+1 steps each), that is seconds of CPU after a
+// billion instances — acceptable at restart scale, and a seekable
+// counter-based generator would make it O(1) only at the cost of
+// changing every model's random trajectory (see ROADMAP).
+func Restore(st State) (*rand.Rand, *Source) {
+	s := &Source{state: st}
+	s.src = &pending{owner: s, st: st}
 	return rand.New(s), s
 }

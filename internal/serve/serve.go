@@ -66,6 +66,12 @@ type Scorer interface {
 	// ShardedScorer sums its replicas; the SnapshotScorer reports the
 	// version of the published snapshot (what readers actually serve).
 	StructureVersion() (uint64, bool)
+	// Changed returns a channel that is closed once StructureVersion
+	// moves after the call (and on Restore). Take it before reading the
+	// version and no change can slip between the read and the wait —
+	// this is what lets the network tier park a long poll until the
+	// next publish instead of polling for it.
+	Changed() <-chan struct{}
 	// Unwrap returns the live underlying classifier (the first replica
 	// for a ShardedScorer). Callers must not use it concurrently with
 	// the Scorer.
@@ -128,6 +134,7 @@ type LockScorer struct {
 	pc     model.ProbabilisticClassifier // nil when inner is not probabilistic
 	schema stream.Schema                 // zero when inner exposes no schema
 	sv     model.StructureVersioner      // nil when inner tracks no structure version
+	change model.Broadcast
 }
 
 // NewLocked wraps a classifier in a LockScorer.
@@ -150,11 +157,20 @@ type schemaProvider interface {
 // Unwrap implements Scorer.
 func (s *LockScorer) Unwrap() model.Classifier { return s.inner }
 
-// Learn implements model.Classifier under the write lock.
+// Learn implements model.Classifier under the write lock, firing
+// Changed when the batch moved the structure version.
 func (s *LockScorer) Learn(b stream.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.sv == nil {
+		s.inner.Learn(b)
+		return
+	}
+	before := s.sv.StructureVersion()
 	s.inner.Learn(b)
+	if s.sv.StructureVersion() != before {
+		s.change.Fire()
+	}
 }
 
 // Predict implements model.Classifier under a read lock.
@@ -192,6 +208,9 @@ func (s *LockScorer) StructureVersion() (uint64, bool) {
 	}
 	return s.sv.StructureVersion(), true
 }
+
+// Changed implements Scorer.
+func (s *LockScorer) Changed() <-chan struct{} { return s.change.Wait() }
 
 // PredictBatch implements Scorer under one read lock for the whole
 // batch, so the rows are served from one consistent model state.
@@ -273,6 +292,7 @@ func (s *LockScorer) install(c model.Classifier) error {
 	if sp, ok := c.(schemaProvider); ok {
 		s.schema = sp.Schema()
 	}
+	s.change.Fire()
 	return nil
 }
 
@@ -316,6 +336,7 @@ type SnapshotScorer struct {
 	lastVersion  uint64
 	publishes    atomic.Uint64
 	cur          atomic.Pointer[published]
+	change       model.Broadcast // fired when the published version moves
 
 	// Checkpoint capture cache, publish-on-change mode only: the full
 	// envelope bytes of the last capture and the live structure version
@@ -370,8 +391,9 @@ func NewSnapshotOnChange(c model.Classifier) (*SnapshotScorer, error) {
 	return s, nil
 }
 
-// publish captures and installs a fresh snapshot; callers hold s.mu
-// (or, in the constructor, exclusive ownership).
+// publish captures and installs a fresh snapshot, firing Changed when
+// the published version moved; callers hold s.mu (or, in the
+// constructor, exclusive ownership).
 func (s *SnapshotScorer) publish() {
 	p := &published{snap: s.src.Snapshot()}
 	p.proba, _ = p.snap.(model.ProbaSnapshot)
@@ -381,9 +403,12 @@ func (s *SnapshotScorer) publish() {
 	if s.sv != nil {
 		p.version, p.hasVersion = s.sv.StructureVersion(), true
 	}
-	s.cur.Store(p)
+	prev := s.cur.Swap(p)
 	s.sincePublish = 0
 	s.publishes.Add(1)
+	if prev != nil && (p.version != prev.version || p.hasVersion != prev.hasVersion) {
+		s.change.Fire()
+	}
 }
 
 // Publish forces an immediate snapshot publish outside the cadence.
@@ -523,6 +548,7 @@ func (s *SnapshotScorer) install(c model.Classifier) error {
 	// next Checkpoint re-encodes and the next CheckpointDelta is full.
 	s.ckptRaw, s.deltaBase = nil, nil
 	s.publish()
+	s.change.Fire()
 	return nil
 }
 
@@ -551,6 +577,10 @@ func (s *SnapshotScorer) StructureVersion() (uint64, bool) {
 	p := s.cur.Load()
 	return p.version, p.hasVersion
 }
+
+// Changed implements Scorer: closed on the next publish that moves the
+// published version, or on Restore.
+func (s *SnapshotScorer) Changed() <-chan struct{} { return s.change.Wait() }
 
 // PredictBatch implements Scorer: the whole batch is served from the one
 // snapshot loaded at entry, wait-free. Empty (or nil) batches return an
@@ -610,6 +640,7 @@ type ShardedScorer struct {
 	// Reads stay lock-free: they go straight to the shard scorers.
 	mu     sync.Mutex
 	shards []Scorer
+	change model.Broadcast
 	// Learn-path partition scratch (single-writer, like Learn itself).
 	px [][][]float64
 	py [][]int
@@ -665,6 +696,7 @@ func (s *ShardedScorer) Learn(b stream.Batch) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	before, _ := s.StructureVersion()
 	for i := range s.shards {
 		s.px[i] = s.px[i][:0]
 		s.py[i] = s.py[i][:0]
@@ -686,6 +718,9 @@ func (s *ShardedScorer) Learn(b stream.Batch) {
 		}(sh, stream.Batch{X: s.px[i], Y: s.py[i]})
 	}
 	wg.Wait()
+	if after, _ := s.StructureVersion(); after != before {
+		s.change.Fire()
+	}
 }
 
 // Predict implements model.Classifier via the row's shard.
@@ -716,6 +751,10 @@ func (s *ShardedScorer) StructureVersion() (uint64, bool) {
 	}
 	return total, true
 }
+
+// Changed implements Scorer: closed on the next Learn that moves the
+// summed version, or on Restore.
+func (s *ShardedScorer) Changed() <-chan struct{} { return s.change.Wait() }
 
 // PredictBatch implements Scorer, routing each row to its shard. Empty
 // (or nil) batches return an empty result with no per-shard dispatch.
@@ -833,7 +872,9 @@ func (s *ShardedScorer) Restore(r io.Reader) error {
 		}
 		models[i], raw[i] = c, buf.Bytes()
 	}
-	// Phase 2: install into every shard.
+	// Phase 2: install into every shard. Even a partial install may have
+	// moved the version, so waiters are woken either way.
+	defer s.change.Fire()
 	for i, sh := range s.shards {
 		var err error
 		if in, ok := sh.(modelInstaller); ok {

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // The breaker's full state machine under a fake clock: consecutive
@@ -384,6 +386,86 @@ func TestCloseReleasesLongPoll(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("long-poll still parked 5s after Close — shutdown hang")
+	}
+}
+
+// deafScorer hides every version move from Changed: its channel never
+// closes, so a long poll parked on it can only answer when its wait
+// expires.
+type deafScorer struct {
+	serve.Scorer
+	never chan struct{}
+}
+
+func (d deafScorer) Changed() <-chan struct{} { return d.never }
+
+// A parked ?wait= long poll is woken by the scorer's Changed channel and
+// by nothing else. With a live channel it answers 200 with the new
+// version as soon as a Learn moves it. With a channel that never fires
+// it stays parked past the version move until the wait expires, and only
+// then answers from its last version check, so no polling path sits
+// beside the event.
+func TestLongPollWakesOnChanged(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		deaf bool
+		wait time.Duration
+	}{
+		{"changed", false, 30 * time.Second},
+		{"deaf", true, 2 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := newTrainedScorer(t, 20)
+			served := sc
+			if tc.deaf {
+				served = deafScorer{Scorer: sc, never: make(chan struct{})}
+			}
+			_, ts := newTestServer(t, served, Config{})
+			v, _ := sc.StructureVersion()
+
+			type result struct {
+				status  int
+				version string
+				at      time.Time
+				err     error
+			}
+			results := make(chan result, 1)
+			start := time.Now()
+			go func() {
+				resp, err := http.Get(ts.URL + "/v1/envelope?version=" + itoa(v) + "&wait=" + tc.wait.String())
+				r := result{err: err}
+				if err == nil {
+					r.status, r.version = resp.StatusCode, resp.Header.Get(VersionHeader)
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				r.at = time.Now()
+				results <- r
+			}()
+
+			time.Sleep(100 * time.Millisecond) // let the poll park
+			next := advanceVersion(t, sc, v, 23)
+			moved := time.Now()
+			var r result
+			select {
+			case r = <-results:
+			case <-time.After(tc.wait + 5*time.Second):
+				t.Fatal("long poll still parked 5s after its wait expired")
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.status != http.StatusOK || r.version != itoa(next) {
+				t.Fatalf("long poll answered %d at version %s, want 200 at %d", r.status, r.version, next)
+			}
+			if tc.deaf {
+				if r.at.Sub(start) < tc.wait {
+					t.Fatalf("poll answered %v after a version move its Changed channel never signalled, before its %v wait expired: something polls beside the event", r.at.Sub(moved), tc.wait)
+				}
+			} else if r.at.Sub(moved) > 5*time.Second {
+				t.Fatalf("poll answered %v after the version moved, want it woken by the publish", r.at.Sub(moved))
+			}
+		})
 	}
 }
 

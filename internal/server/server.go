@@ -667,8 +667,9 @@ func (s *Server) deltaChain(since uint64) (chain []byte, head uint64, count int,
 // protocol: the current model as envelope bytes, stamped with the
 // structure version. A client that passes ?version=N (its last
 // installed version) gets 304 Not Modified while the version still
-// equals N; with ?wait=DURATION the 304 is deferred — the handler long
-// polls until the version moves or the wait expires. A client that also
+// equals N; with ?wait=DURATION the 304 is deferred — the handler parks
+// on the scorer's Changed channel and answers on the publish that moves
+// the version, or with the 304 once the wait expires. A client that also
 // passes ?since=N (it still holds the full envelope bytes of version N)
 // is answered with a delta chain when the capture history still covers
 // N — ContentTypeDeltaChain, DeltaBaseHeader/DeltaCountHeader stamped —
@@ -702,52 +703,32 @@ func (s *Server) handleEnvelope(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad wait: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if d > s.cfg.LongPollMax {
-			d = s.cfg.LongPollMax
-		}
-		wait = d
+		wait = min(d, s.cfg.LongPollMax)
 	}
-	deadline := time.Now().Add(wait)
+	var timer *time.Timer
 	for {
+		// Take the change channel before reading the version: a publish
+		// that lands after the read closes a channel already held, so no
+		// wake-up is lost.
+		changed := s.scorer.Changed()
 		cur, hasVersion := s.scorer.StructureVersion()
 		if !haveSince || !hasVersion || cur != since {
-			raw, v, err := s.envelope()
-			if err != nil {
-				http.Error(w, "capture failed: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if haveDeltaBase && hasVersion && deltaBase != v {
-				if chain, head, n, ok := s.deltaChain(deltaBase); ok {
-					s.deltasServed.Add(1)
-					w.Header().Set("Content-Type", ContentTypeDeltaChain)
-					w.Header().Set(ModelHeader, s.scorer.Name())
-					w.Header().Set(VersionHeader, strconv.FormatUint(head, 10))
-					w.Header().Set(DeltaBaseHeader, strconv.FormatUint(deltaBase, 10))
-					w.Header().Set(DeltaCountHeader, strconv.Itoa(n))
-					w.Write(chain)
-					return
-				}
-			}
-			w.Header().Set("Content-Type", ContentTypeEnvelope)
-			w.Header().Set(ModelHeader, s.scorer.Name())
-			w.Header().Set(VersionHeader, strconv.FormatUint(v, 10))
-			w.Write(raw)
+			s.writeEnvelope(w, haveDeltaBase && hasVersion, deltaBase)
 			return
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+		if wait <= 0 {
 			w.Header().Set(VersionHeader, strconv.FormatUint(cur, 10))
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		// Poll-on-version: structural events are rare, a 50ms poll is
-		// invisible next to the publish cadence and keeps the handler
-		// free of cross-request condvar plumbing.
-		poll := 50 * time.Millisecond
-		if remaining < poll {
-			poll = remaining
+		if timer == nil {
+			timer = time.NewTimer(wait)
+			defer timer.Stop()
 		}
 		select {
+		case <-changed:
+		case <-timer.C:
+			wait = 0 // one last version check, then 304
 		case <-r.Context().Done():
 			return
 		case <-s.closing:
@@ -755,9 +736,35 @@ func (s *Server) handleEnvelope(w http.ResponseWriter, r *http.Request) {
 			// drain is bounded by its deadline, not by ?wait=.
 			http.Error(w, "server closing", http.StatusServiceUnavailable)
 			return
-		case <-time.After(poll):
 		}
 	}
+}
+
+// writeEnvelope answers an envelope request with the current capture:
+// a delta chain from deltaBase when tryDelta is set and the history
+// covers it, the full envelope otherwise.
+func (s *Server) writeEnvelope(w http.ResponseWriter, tryDelta bool, deltaBase uint64) {
+	raw, v, err := s.envelope()
+	if err != nil {
+		http.Error(w, "capture failed: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if tryDelta && deltaBase != v {
+		if chain, head, n, ok := s.deltaChain(deltaBase); ok {
+			s.deltasServed.Add(1)
+			w.Header().Set("Content-Type", ContentTypeDeltaChain)
+			w.Header().Set(ModelHeader, s.scorer.Name())
+			w.Header().Set(VersionHeader, strconv.FormatUint(head, 10))
+			w.Header().Set(DeltaBaseHeader, strconv.FormatUint(deltaBase, 10))
+			w.Header().Set(DeltaCountHeader, strconv.Itoa(n))
+			w.Write(chain)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", ContentTypeEnvelope)
+	w.Header().Set(ModelHeader, s.scorer.Name())
+	w.Header().Set(VersionHeader, strconv.FormatUint(v, 10))
+	w.Write(raw)
 }
 
 // --- health and status -----------------------------------------------
