@@ -1,6 +1,7 @@
 # CI entry points. `make ci` is the gate: vet + build + tests + a short
 # race pass over the concurrency-sensitive paths (Scorer, Runner,
-# registry).
+# registry) + a short fuzz pass + the benchmark module's unit tests +
+# the three dmtserve smokes.
 #
 # `make bench` runs the Benchmark*Op hot-path micro-benchmarks with
 # -benchmem and writes BENCH_PR10.json (ns/op, B/op, allocs/op and
@@ -27,18 +28,23 @@
 # trainer (race:glm,vfdt,nb) learns a recurring-drift stream under a
 # prediction hammer; the leader must change at least once, /statusz must
 # carry the per-arm scoreboard, and zero requests may fail.
+# `make fuzz` runs each native fuzz target for FUZZTIME on top of its
+# committed corpus (testdata/fuzz); a failing input is written there.
+# `make bench-unit` vets and tests bench/dmtperf, which is its own
+# module and so is not reached by the root `go test ./...`.
 
 GO ?= go
 BENCH_TXT ?= /tmp/repro_bench_current.txt
 BENCHTIME ?= 1s
 CHAOS_SPEC ?= drop@0.15,reset@0.05,status=503@0.05,status=429@0.02,truncate=512@0.1
 CHAOS_SEED ?= 7
+FUZZTIME ?= 10s
 
-.PHONY: all ci vet build test race bench bench-all serve-smoke chaos-smoke race-smoke fmt
+.PHONY: all ci vet build test race fuzz bench-unit bench bench-all serve-smoke chaos-smoke race-smoke fmt
 
 all: ci
 
-ci: vet build test race serve-smoke chaos-smoke race-smoke
+ci: vet build test race fuzz bench-unit serve-smoke chaos-smoke race-smoke
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +57,12 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) ./internal/server
+
+bench-unit:
+	cd bench/dmtperf && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Op$$' -benchmem -benchtime $(BENCHTIME) ./... > $(BENCH_TXT)

@@ -85,7 +85,7 @@ func main() {
 		noDelta   = flag.Bool("no-delta", false, "replica mode: always fetch full envelopes instead of negotiating delta chains")
 		interval  = flag.Duration("interval", 500*time.Millisecond, "replica poll interval")
 		wait      = flag.Duration("wait", 10*time.Second, "replica long-poll duration (0 = plain polling)")
-		window    = flag.Duration("window", time.Millisecond, "request coalescing window")
+		window    = flag.Duration("window", time.Millisecond, "longest a /v1/predict batch waits for a single-row request already on its way; an isolated request never waits (negative: never wait)")
 		maxBatch  = flag.Int("maxbatch", 64, "max rows per coalesced batch")
 		inflight  = flag.Int("inflight", 256, "max in-flight prediction requests before 429")
 		smoke     = flag.Bool("smoke", false, "run the self-test and exit")
@@ -453,8 +453,8 @@ func runSmoke(cfg repro.ServerConfig) error {
 	if st.ServedRows == 0 {
 		return fmt.Errorf("statusz reports no served rows after %d requests", requests)
 	}
-	fmt.Fprintf(os.Stderr, "dmtserve: smoke served %d rows in %d coalesced batches, %d rejected, 1 swap\n",
-		st.ServedRows, st.CoalescedBatches, st.Rejected)
+	fmt.Fprintf(os.Stderr, "dmtserve: smoke served %d rows in %d coalesced batches (%d waited), %d rejected, 1 swap\n",
+		st.ServedRows, st.CoalescedBatches, st.CoalesceWaits, st.Rejected)
 	return nil
 }
 

@@ -18,8 +18,9 @@ import (
 
 // benchLoad drives the full HTTP stack — client, coalescer, scorer —
 // with parallel requests while a trainer goroutine keeps Learning, and
-// reports the serving numbers the ISSUE's acceptance criteria ask for:
-// p50/p99 request latency and sustained QPS under concurrent training.
+// reports p50/p99 request latency and sustained QPS under concurrent
+// training, plus rows per coalesced dispatch where the coalescer is in
+// the path.
 func benchLoad(b *testing.B, makeBody func(i int) (string, []byte), path string) {
 	sc := newTrainedScorer(b, 120)
 	srv := New(sc, Config{CoalesceWindow: time.Millisecond, MaxBatch: 64, MaxInFlight: 1024})
@@ -102,6 +103,9 @@ func benchLoad(b *testing.B, makeBody func(i int) (string, []byte), path string)
 	b.ReportMetric(quantile(0.50), "p50-ns")
 	b.ReportMetric(quantile(0.99), "p99-ns")
 	b.ReportMetric(float64(len(all))/elapsed.Seconds(), "qps")
+	if n := srv.co.batches.Load(); n > 0 {
+		b.ReportMetric(float64(srv.co.rows.Load())/float64(n), "rows/batch")
+	}
 }
 
 // newBenchHTTP serves the handler on a real socket (httptest pulls in
@@ -154,7 +158,7 @@ func BenchmarkServerCoalesceOp(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := srv.co.predict(context.Background(), X[i%len(X)]); err != nil {
+			if _, err := srv.co.predict(context.Background(), X[i%len(X)], false); err != nil {
 				b.Error(err)
 				return
 			}

@@ -82,10 +82,13 @@ const (
 // Config tunes a Server. The zero value serves with the defaults noted
 // on each field.
 type Config struct {
-	// CoalesceWindow is how long a single /v1/predict request may wait
-	// for companions before its batch is flushed (default 1ms; negative
-	// disables waiting — whatever is queued at dispatch time coalesces,
-	// but nothing waits).
+	// CoalesceWindow bounds how long a batch of single /v1/predict rows
+	// may wait for companions (default 1ms). A batch flushes as soon as
+	// the queue is drained unless another single-row predict is already
+	// admitted and on its way (still decoding its body); only then does
+	// it wait, until that row arrives or the window expires. An isolated
+	// request never waits. Negative disables waiting altogether —
+	// whatever is queued at dispatch time still coalesces.
 	CoalesceWindow time.Duration
 	// MaxBatch caps one coalesced PredictBatch call (default 64 rows).
 	MaxBatch int
@@ -371,7 +374,7 @@ type batchResponse struct {
 func (s *Server) readRows(w http.ResponseWriter, r *http.Request) ([][]float64, bool, bool) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if r.Header.Get("Content-Type") == ContentTypeRows {
-		rows, err := decodeBinaryRows(body)
+		rows, err := decodeBinaryRows(body, maxBinaryCells)
 		if err != nil {
 			http.Error(w, "bad binary rows: "+err.Error(), http.StatusBadRequest)
 			return nil, false, false
@@ -390,7 +393,15 @@ func (s *Server) readRows(w http.ResponseWriter, r *http.Request) ([][]float64, 
 // header cannot demand an absurd allocation (64 MiB of float64s).
 const maxBinaryCells = 8 << 20
 
-func decodeBinaryRows(r io.Reader) ([][]float64, error) {
+// binaryChunkCells is how many cells decodeBinaryRows reads at a time:
+// memory grows with the bytes that actually arrive, never with what the
+// header merely claims.
+const binaryChunkCells = 4 << 10
+
+// decodeBinaryRows reads an application/x-repro-rows body of at most
+// maxRows rows. The header is checked before anything is allocated, and
+// a short body is an error, never a partial matrix.
+func decodeBinaryRows(r io.Reader, maxRows int) ([][]float64, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("read (rows, cols) header: %w", err)
@@ -400,15 +411,22 @@ func decodeBinaryRows(r io.Reader) ([][]float64, error) {
 	if n == 0 || m == 0 || uint64(n)*uint64(m) > maxBinaryCells {
 		return nil, fmt.Errorf("implausible shape %dx%d", n, m)
 	}
-	flat := make([]byte, 8*int(n)*int(m))
-	if _, err := io.ReadFull(r, flat); err != nil {
-		return nil, fmt.Errorf("read %dx%d float64 cells: %w", n, m, err)
+	if uint64(n) > uint64(maxRows) {
+		return nil, fmt.Errorf("%d rows where at most %d are accepted (use /v1/predict_batch)", n, maxRows)
+	}
+	cells := int(n) * int(m)
+	buf := make([]byte, 8*min(cells, binaryChunkCells))
+	vals := make([]float64, 0, min(cells, binaryChunkCells))
+	for len(vals) < cells {
+		chunk := buf[:8*min(cells-len(vals), binaryChunkCells)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, fmt.Errorf("read %dx%d float64 cells: %w", n, m, err)
+		}
+		for i := 0; i < len(chunk); i += 8 {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+		}
 	}
 	rows := make([][]float64, n)
-	vals := make([]float64, int(n)*int(m))
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(flat[8*i:]))
-	}
 	for i := range rows {
 		rows[i] = vals[i*int(m) : (i+1)*int(m) : (i+1)*int(m)]
 	}
@@ -441,30 +459,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	// Announce the row before decoding it, so a batch the coalescer has
+	// already collected waits for it instead of flushing alone; a row
+	// that will not be queued is withdrawn as soon as that is known.
+	s.co.expect()
 	binaryReq := r.Header.Get("Content-Type") == ContentTypeRows
-	var x []float64
-	var wantProba bool
-	if binaryReq {
-		rows, err := decodeBinaryRows(body)
-		if err != nil {
-			http.Error(w, "bad binary rows: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(rows) != 1 {
-			http.Error(w, fmt.Sprintf("predict wants exactly one row, got %d (use /v1/predict_batch)", len(rows)), http.StatusBadRequest)
-			return
-		}
-		x = rows[0]
-	} else {
-		var req predictRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		x, wantProba = req.X, req.Proba
+	x, wantProba, err := s.readRow(w, r, binaryReq)
+	if err != nil || wantProba {
+		s.co.withdraw()
 	}
-	if err := s.validateRow(0, x); err != nil {
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -476,7 +480,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, predictResponse{Y: y, Proba: proba})
 		return
 	}
-	y, err := s.co.predict(r.Context(), x)
+	y, err := s.co.predict(r.Context(), x, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -487,6 +491,29 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, predictResponse{Y: y})
+}
+
+// readRow decodes and validates the one row of a /v1/predict body. A
+// binary body announcing more than one row is rejected from its header.
+// The bool is the JSON request's proba flag.
+func (s *Server) readRow(w http.ResponseWriter, r *http.Request, binaryReq bool) ([]float64, bool, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var x []float64
+	var wantProba bool
+	if binaryReq {
+		rows, err := decodeBinaryRows(body, 1)
+		if err != nil {
+			return nil, false, fmt.Errorf("bad binary rows: %w", err)
+		}
+		x = rows[0]
+	} else {
+		var req predictRequest
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return nil, false, fmt.Errorf("bad JSON body: %w", err)
+		}
+		x, wantProba = req.X, req.Proba
+	}
+	return x, wantProba, s.validateRow(0, x)
 }
 
 func argmax(p []float64) int {
@@ -815,6 +842,7 @@ type Status struct {
 	ServedRows          uint64        `json:"served_rows"`
 	CoalescedBatches    uint64        `json:"coalesced_batches"`
 	CoalescedRows       uint64        `json:"coalesced_rows"`
+	CoalesceWaits       uint64        `json:"coalesce_waits"` // batches that armed the window timer
 	Rejected            uint64        `json:"rejected"`
 	Swaps               uint64        `json:"swaps"`
 	DeltasServed        uint64        `json:"deltas_served,omitempty"`
@@ -851,6 +879,7 @@ func (s *Server) Status() Status {
 		ServedRows:          s.served.Load(),
 		CoalescedBatches:    s.co.batches.Load(),
 		CoalescedRows:       s.co.rows.Load(),
+		CoalesceWaits:       s.co.waits.Load(),
 		Rejected:            s.rejected.Load(),
 		Swaps:               s.swaps.Load(),
 		DeltasServed:        s.deltasServed.Load(),

@@ -265,13 +265,18 @@ func TestCoalescingMergesConcurrentSingles(t *testing.T) {
 }
 
 // blockingScorer gates PredictBatch so a test can hold requests in
-// flight deliberately.
+// flight deliberately. A non-nil entered is sent to as each call
+// reaches the gate.
 type blockingScorer struct {
 	serve.Scorer
-	gate chan struct{}
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (b *blockingScorer) PredictBatch(X [][]float64, out []int) []int {
+	if b.entered != nil {
+		b.entered <- struct{}{}
+	}
 	<-b.gate
 	return b.Scorer.PredictBatch(X, out)
 }
