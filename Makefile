@@ -32,6 +32,10 @@
 # committed corpus (testdata/fuzz); a failing input is written there.
 # `make bench-unit` vets and tests bench/dmtperf, which is its own
 # module and so is not reached by the root `go test ./...`.
+# `make inline` re-runs the pool-vs-inline identity tests and the
+# zero-alloc tests of the split scans and the worker pool under
+# GOMAXPROCS=1, where the pool has no helpers and every fan-out runs
+# inline on the caller.
 
 GO ?= go
 BENCH_TXT ?= /tmp/repro_bench_current.txt
@@ -40,11 +44,11 @@ CHAOS_SPEC ?= drop@0.15,reset@0.05,status=503@0.05,status=429@0.02,truncate=512@
 CHAOS_SEED ?= 7
 FUZZTIME ?= 10s
 
-.PHONY: all ci vet build test race fuzz bench-unit bench bench-all serve-smoke chaos-smoke race-smoke fmt
+.PHONY: all ci vet build test race inline fuzz bench-unit bench bench-all serve-smoke chaos-smoke race-smoke fmt
 
 all: ci
 
-ci: vet build test race fuzz bench-unit serve-smoke chaos-smoke race-smoke
+ci: vet build test race inline fuzz bench-unit serve-smoke chaos-smoke race-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +61,10 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+inline:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Inline|EveryFeature|NormsCache|ZeroAllocs|Once|Completes' \
+		./internal/core ./internal/hoeffding ./internal/pool
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) ./internal/server

@@ -45,6 +45,41 @@ func TestGaussianObserverFindsSeparator(t *testing.T) {
 	}
 }
 
+// BestThreshold hoists the pre-split impurity out of its loop; the merit
+// it reports must keep the exact bits of scoring each threshold with
+// Merit (MeritAt), for both criteria.
+func TestBestThresholdMatchesPerThresholdMerit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, crit := range []split.Criterion{split.InfoGain{}, split.GiniGain{}} {
+		for trial := 0; trial < 20; trial++ {
+			const c = 5
+			obs := NewGaussian(c, 10)
+			pre := make([]float64, c)
+			for i := 0; i < 200; i++ {
+				y := rng.Intn(c)
+				obs.Observe(rng.NormFloat64()+float64(y)*0.3, y, 1)
+				pre[y]++
+			}
+			buf := NewScanBuf(c)
+			thr, merit, ok := obs.BestThreshold(pre, crit, buf)
+			if !ok {
+				t.Fatal("no threshold on spread data")
+			}
+			best, bestT := math.Inf(-1), 0.0
+			step := (obs.max - obs.min) / float64(obs.bins+1)
+			for i := 1; i <= obs.bins; i++ {
+				th := obs.min + step*float64(i)
+				if m := obs.MeritAt(th, pre, crit, buf); m > best {
+					best, bestT = m, th
+				}
+			}
+			if merit != best || thr != bestT {
+				t.Fatalf("%s: BestThreshold (%v, %v), per-threshold Merit (%v, %v)", crit.Name(), thr, merit, bestT, best)
+			}
+		}
+	}
+}
+
 func TestGaussianObserverNoSpread(t *testing.T) {
 	obs := NewGaussian(2, 10)
 	for i := 0; i < 100; i++ {

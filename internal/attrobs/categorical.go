@@ -182,6 +182,7 @@ func (c *Categorical) BestSplit(pre []float64, crit Meriter, buf *ScanBuf) (kind
 		return 0, 0, 0, 0, false
 	}
 	merit = math.Inf(-1)
+	total, impurity := crit.PreImpurity(pre)
 
 	// Equality scan: one candidate per seen level.
 	for lv := 0; lv < c.card; lv++ {
@@ -193,7 +194,7 @@ func (c *Categorical) BestSplit(pre []float64, crit Meriter, buf *ScanBuf) (kind
 		for k := range pre {
 			buf.right[k] = pre[k] - row[k]
 		}
-		if m := crit.Merit(pre, buf.post); m > merit {
+		if m := crit.MeritFrom(total, impurity, buf.post); m > merit {
 			kind, threshold, mask, merit = model.SplitEquality, float64(lv), 0, m
 		}
 	}
@@ -246,7 +247,7 @@ func (c *Categorical) BestSplit(pre []float64, crit Meriter, buf *ScanBuf) (kind
 			for k := range pre {
 				buf.right[k] = pre[k] - buf.left[k]
 			}
-			if mm := crit.Merit(pre, buf.post); mm > merit {
+			if mm := crit.MeritFrom(total, impurity, buf.post); mm > merit {
 				kind, threshold, mask, merit = model.SplitSubset, 0, m, mm
 			}
 		}

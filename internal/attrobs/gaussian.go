@@ -123,11 +123,15 @@ func (g *Gaussian) DistributionsAtInto(threshold float64, left, right []float64)
 }
 
 // Meriter scores a candidate binary split from the pre-split class counts
-// and the two branch distributions. split.Criterion satisfies it; the
+// and the two branch distributions; a scan hoists the pre-split part out
+// of its loop with PreImpurity and scores each candidate with MeritFrom,
+// which must return Merit's exact bits. split.Criterion satisfies it; the
 // interface is redeclared here so attrobs stays independent of the split
 // package.
 type Meriter interface {
 	Merit(pre []float64, post [][]float64) float64
+	PreImpurity(pre []float64) (total, impurity float64)
+	MeritFrom(total, impurity float64, post [][]float64) float64
 }
 
 // ScanBuf holds the reusable branch-distribution buffers of a threshold
@@ -184,10 +188,12 @@ func (g *Gaussian) BestThreshold(pre []float64, crit Meriter, buf *ScanBuf) (thr
 		return 0, 0, false
 	}
 	merit = math.Inf(-1)
+	total, impurity := crit.PreImpurity(pre)
 	step := (g.max - g.min) / float64(g.bins+1)
 	for i := 1; i <= g.bins; i++ {
 		t := g.min + step*float64(i)
-		if m := g.MeritAt(t, pre, crit, buf); m > merit {
+		g.DistributionsAtInto(t, buf.left, buf.right)
+		if m := crit.MeritFrom(total, impurity, buf.post); m > merit {
 			threshold, merit = t, m
 		}
 	}

@@ -15,14 +15,16 @@ import (
 // batch, all without allocating.
 func TestLearnSteadyStateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		m, c int
+		name       string
+		m, c, rows int
 	}{
-		{"binary/m=10", 10, 2},
-		{"multiclass/m=10", 10, 4},
+		{"binary/m=10", 10, 2, 100},
+		{"multiclass/m=10", 10, 4, 100},
+		// Gas-shaped: wide enough that the candidate scan runs on the pool.
+		{"multiclass/m=128", 128, 6, 13},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batches := benchBatches(tc.m, 32, 100, 21)
+			batches := benchBatches(tc.m, 32, tc.rows, 21)
 			if tc.c > 2 {
 				for _, b := range batches {
 					for i := range b.Y {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,11 +39,29 @@ func benchBatches(m, count, size int, seed int64) []stream.Batch {
 // BenchmarkCandidateScanOp measures one node-level statistics update
 // (candidate accumulation + proposal admission) on a warmed node with a
 // full candidate pool — the inner loop the candidate index optimises.
+// Besides the binary 100-row sweep over m it runs two preq-wide shapes:
+// Gas* (m = 128, 6 classes, 13-row batches: w = 774, a 3.2 MB arena) and
+// Hyperplane (m = 50, binary, 500-row batches).
 func BenchmarkCandidateScanOp(b *testing.B) {
-	for _, m := range []int{10, 50, 200} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			batches := benchBatches(m, 16, 100, 11)
-			tree := New(Config{Seed: 1}, stream.Schema{NumFeatures: m, NumClasses: 2, Name: "bench"})
+	cases := []struct {
+		name       string
+		m, c, rows int
+	}{
+		{"m=10", 10, 2, 100},
+		{"m=50", 50, 2, 100},
+		{"m=200", 200, 2, 100},
+		{"gas/m=128/c=6/rows=13", 128, 6, 13},
+		{"hyperplane/m=50/rows=500", 50, 2, 500},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			batches := benchBatches(tc.m, 16, tc.rows, 11)
+			for _, bt := range batches {
+				for i := range bt.Y {
+					bt.Y[i] = (bt.Y[i] + i) % tc.c
+				}
+			}
+			tree := New(Config{Seed: 1}, stream.Schema{NumFeatures: tc.m, NumClasses: tc.c, Name: "bench"})
 			n := tree.root
 			for _, bt := range batches {
 				tree.updateStats(n, bt) // fill the pool

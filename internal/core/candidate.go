@@ -25,12 +25,29 @@ import (
 // fewer than minN observations.
 func candidateGain(referenceLoss float64, pLoss float64, pGrad []float64, pN float64,
 	cLoss float64, cGrad []float64, cN float64, lr, minN float64) (float64, bool) {
+	return gainFromNorms(referenceLoss, pLoss, pN, cLoss, cN,
+		linalg.Norm2Sq(cGrad), linalg.Norm2SqDiff(pGrad, cGrad), lr, minN)
+}
+
+// gainFromNorms is candidateGain with the two gradient norms given:
+// normG = ||∇L(Θ_S; C)||² and normD = ||∇L(Θ_S; S) - ∇L(Θ_S; C)||². The
+// DMT scan caches both per candidate slot (candIndex.normG/normD), so
+// the admission ranking and the split search read a gain in O(1).
+func gainFromNorms(referenceLoss, pLoss, pN, cLoss, cN, normG, normD, lr, minN float64) (float64, bool) {
 	rN := pN - cN
 	if cN < minN || rN < minN {
 		return 0, false
 	}
-	leftHat := cLoss - lr/cN*linalg.Norm2Sq(cGrad)
+	leftHat := cLoss - lr/cN*normG
 	rightLoss := pLoss - cLoss
-	rightHat := rightLoss - lr/rN*linalg.Norm2SqDiff(pGrad, cGrad)
+	rightHat := rightLoss - lr/rN*normD
 	return referenceLoss - leftHat - rightHat, true
+}
+
+// slotGain is gainFromNorms for a stored candidate of node n, read from
+// the slot's cached norms; the caller refreshes them first.
+func slotGain(n *node, slot int32, referenceLoss, lr, minN float64) (float64, bool) {
+	ix := n.idx
+	return gainFromNorms(referenceLoss, n.loss, n.n, ix.loss[slot], ix.n[slot],
+		ix.normG[slot], ix.normD[slot], lr, minN)
 }

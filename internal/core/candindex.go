@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/stream"
+import (
+	"repro/internal/linalg"
+	"repro/internal/stream"
+)
 
 // candEntry is one split-candidate threshold in the per-feature index.
 // The statistics live in the owning candIndex's flat arena at slot; the
@@ -24,10 +27,18 @@ type candEntry struct {
 // The descending threshold order makes per-row accumulation a single
 // bucket write: a row with feature value x is accepted by exactly the
 // prefix of entries with threshold >= x, so it is charged to the LAST
-// accepting entry (its bucket), and a suffix-sum sweep at batch end
-// (linalg.SuffixSumRows) recovers every entry's total. This replaces the
-// old O(rows·candidates·weights) fold with O(rows·(log k + weights)) per
-// feature plus one O(candidates·weights) sweep.
+// accepting entry (its bucket). The batch scan then walks each feature's
+// buckets from last to first, keeping a running suffix sum that is every
+// entry's batch total in turn, and adds it into the entry's slot in the
+// same pass that computes the slot's gain norms. This replaces the old
+// O(rows·candidates·weights) fold with O(rows·(log k + weights)) per
+// feature plus one O(candidates·weights) pass.
+//
+// normG and normD cache, per slot, ||grad||² and ||p-grad||² against the
+// owning node's gradient p — the two O(w) terms of every gain (3)/(4)
+// read. The scan fills them for every live entry and sets normsOK; an
+// insert, a reset and therefore a restore clear it, and a reader that
+// finds the cache stale recomputes it (refreshNorms).
 //
 // All storage is allocated once at construction (maxSlots bounds the
 // stored pool plus one batch of proposals), so steady-state maintenance
@@ -40,6 +51,9 @@ type candIndex struct {
 	n       []float64   // per slot: left-branch observation count
 	grad    []float64   // per slot: w-wide left-branch gradient total
 	free    []int32     // free arena slots (stack)
+	normG   []float64   // per slot: ||grad||²
+	normD   []float64   // per slot: ||p-grad||² against the node gradient p
+	normsOK bool        // normG/normD hold for every live entry and the current p
 }
 
 // maxSlots returns the arena capacity for a schema: the stored pool cap
@@ -74,6 +88,8 @@ func newCandIndex(m, w, slots int) *candIndex {
 		n:       make([]float64, slots),
 		grad:    make([]float64, slots*w),
 		free:    make([]int32, slots),
+		normG:   make([]float64, slots),
+		normD:   make([]float64, slots),
 	}
 	for i := range ix.free {
 		ix.free[i] = int32(slots - 1 - i) // pop order 0,1,2,... for determinism
@@ -86,6 +102,7 @@ func (ix *candIndex) size() int { return len(ix.entries) }
 
 // reset clears every entry and returns all slots to the free stack.
 func (ix *candIndex) reset() {
+	ix.normsOK = false
 	ix.entries = ix.entries[:0]
 	for j := range ix.offsets {
 		ix.offsets[j] = 0
@@ -106,6 +123,19 @@ func (ix *candIndex) featRange(j int) (lo, hi int) {
 func (ix *candIndex) gradOf(slot int32) []float64 {
 	base := int(slot) * ix.w
 	return ix.grad[base : base+ix.w : base+ix.w]
+}
+
+// refreshNorms recomputes the gain norms of every live entry against the
+// node gradient p unless the last scan left them current. It leaves
+// normsOK as it found it: only the scan, which also owns every arena
+// update, may vouch for the cache.
+func (ix *candIndex) refreshNorms(p []float64) {
+	if ix.normsOK {
+		return
+	}
+	for _, e := range ix.entries {
+		ix.normG[e.slot], ix.normD[e.slot] = linalg.Norms(ix.gradOf(e.slot), p)
+	}
 }
 
 // featureOf returns the feature owning entry position pos.
@@ -172,6 +202,7 @@ func (ix *candIndex) insert(feature int, value float64) (int32, bool) {
 	}
 	slot := ix.free[len(ix.free)-1]
 	ix.free = ix.free[:len(ix.free)-1]
+	ix.normsOK = false
 	ix.loss[slot] = 0
 	ix.n[slot] = 0
 	g := ix.gradOf(slot)

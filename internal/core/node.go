@@ -95,10 +95,12 @@ func candidateCap(cfg *Config, schema stream.Schema) int {
 // Candidate statistics are maintained through the sorted-threshold index:
 // the batch's proposals are provisionally inserted first, then each row
 // charges its loss/gradient to exactly ONE bucket per feature (the last
-// accepting threshold), and a suffix-sum sweep at batch end materialises
-// every candidate's left-branch totals. The old pool folded every row
-// into every accepting candidate — O(rows · 3m · w); the index pays
-// O(rows · m · (log k + w)) for the passes plus O(3m · w) for the sweep.
+// accepting threshold), and one fused walk per feature turns the buckets
+// into running suffix sums, adds them into the candidates' left-branch
+// totals and caches each candidate's gain norms. The old pool folded
+// every row into every accepting candidate — O(rows · 3m · w); the index
+// pays O(rows · m · (log k + w)) for the passes plus O(3m · w) for the
+// walk, split into feature ranges on the worker pool for large batches.
 // All working memory comes from the tree's scratch arena, so a
 // steady-state call allocates nothing.
 func (t *Tree) updateStats(n *node, b stream.Batch) {
@@ -110,13 +112,8 @@ func (t *Tree) updateStats(n *node, b stream.Batch) {
 	sc := t.scratch
 	m := t.schema.NumFeatures
 	w := n.mod.NumWeights()
-	ix := n.idx
 
 	t.propose(n, b)
-
-	stride := w + 2
-	buckets := sc.buckets[:ix.size()*stride]
-	linalg.Zero(buckets)
 	sc.reserveRows(rows, m, w)
 
 	batchGrad := sc.batchGrad
@@ -172,200 +169,9 @@ func (t *Tree) updateStats(n *node, b stream.Batch) {
 	n.n += used
 
 	// Pass 2 (feature-major): charge every cached row to its one bucket
-	// per feature — the last threshold accepting it — in three steps:
-	// (a) bucket ids for all rows, (b) a counting sort grouping row
-	// indices by bucket, (c) destination-stationary blocked accumulation
-	// of each bucket's loss/count/gradient (linalg.AddGatherRows). The
-	// suffix-sum sweep then turns the per-bucket batch statistics into
-	// per-candidate left-branch totals in the lifetime arena.
-	for j := 0; j < m; j++ {
-		lo, hi := ix.featRange(j)
-		if hi == lo {
-			continue
-		}
-		k := hi - lo
-		cat := t.schema.IsCategorical(j)
-		ents := ix.entries[lo:hi]
-		col := sc.cols[j*sc.rowCap : j*sc.rowCap+nu]
-		ids := sc.ids[:nu]
-		cnts := sc.cnts[:k+1]
-		for b := range cnts {
-			cnts[b] = 0
-		}
-		// (a) Descending thresholds: the entries accepting a row
-		// (value >= x) are a prefix, so its bucket id is the prefix
-		// length (0 = unbucketed). The common path pads the thresholds
-		// to four (-Inf accepts nothing) and uses a short compare chain
-		// — cheap, branch-light and without a data-dependent loop.
-		//
-		// Categorical features instead use exact-match bucketing: the
-		// equality acceptance sets are disjoint, so a row charges the
-		// single entry whose level code matches (0 = no match), and the
-		// per-bucket totals already ARE the candidates' equality-branch
-		// totals — the suffix sweep is skipped.
-		switch {
-		case cat && k <= 8:
-			for r, x := range col {
-				id := int32(0)
-				for p := range ents {
-					if ents[p].value == x {
-						id = int32(p + 1)
-						break
-					}
-				}
-				ids[r] = id
-				cnts[id]++
-			}
-		case cat:
-			// Entries are sorted descending, so an exact match sits just
-			// before the first smaller value.
-			for r, x := range col {
-				blo, bhi := 0, k
-				for blo < bhi {
-					mid := int(uint(blo+bhi) >> 1)
-					if ents[mid].value >= x {
-						blo = mid + 1
-					} else {
-						bhi = mid
-					}
-				}
-				id := int32(0)
-				if blo > 0 && ents[blo-1].value == x {
-					id = int32(blo)
-				}
-				ids[r] = id
-				cnts[id]++
-			}
-		case k <= 4:
-			// The id is the COUNT of accepting thresholds (the accepting
-			// set is a prefix), written as a sum of 0/1 indicators so the
-			// compiler emits SETcc instead of branches — the middle
-			// thresholds sit near the data median and would mispredict on
-			// every other row.
-			negInf := math.Inf(-1)
-			th := [4]float64{negInf, negInf, negInf, negInf}
-			for p := range ents {
-				th[p] = ents[p].value
-			}
-			for r, x := range col {
-				c0, c1, c2, c3 := 0, 0, 0, 0
-				if th[0] >= x {
-					c0 = 1
-				}
-				if th[1] >= x {
-					c1 = 1
-				}
-				if th[2] >= x {
-					c2 = 1
-				}
-				if th[3] >= x {
-					c3 = 1
-				}
-				cnt := int32((c0 + c1) + (c2 + c3))
-				ids[r] = cnt
-				cnts[cnt]++
-			}
-		case k <= 8:
-			negInf := math.Inf(-1)
-			th := [8]float64{negInf, negInf, negInf, negInf, negInf, negInf, negInf, negInf}
-			for p := range ents {
-				th[p] = ents[p].value
-			}
-			for r, x := range col {
-				c0, c1, c2, c3 := 0, 0, 0, 0
-				c4, c5, c6, c7 := 0, 0, 0, 0
-				if th[0] >= x {
-					c0 = 1
-				}
-				if th[1] >= x {
-					c1 = 1
-				}
-				if th[2] >= x {
-					c2 = 1
-				}
-				if th[3] >= x {
-					c3 = 1
-				}
-				if th[4] >= x {
-					c4 = 1
-				}
-				if th[5] >= x {
-					c5 = 1
-				}
-				if th[6] >= x {
-					c6 = 1
-				}
-				if th[7] >= x {
-					c7 = 1
-				}
-				cnt := int32(((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)))
-				ids[r] = cnt
-				cnts[cnt]++
-			}
-		default:
-			for r, x := range col {
-				blo, bhi := 0, k
-				for blo < bhi {
-					mid := int(uint(blo+bhi) >> 1)
-					if ents[mid].value >= x {
-						blo = mid + 1
-					} else {
-						bhi = mid
-					}
-				}
-				ids[r] = int32(blo)
-				cnts[blo]++
-			}
-		}
-		// (b) Counting sort: group the bucketed row indices.
-		starts := sc.starts[:k+1]
-		cursor := sc.cursor[:k]
-		total := int32(0)
-		for b := 0; b < k; b++ {
-			starts[b] = total
-			cursor[b] = total
-			total += cnts[b+1]
-		}
-		starts[k] = total
-		if total == 0 {
-			continue
-		}
-		ord := sc.ord[:nu]
-		for r, id := range ids {
-			if id == 0 {
-				continue
-			}
-			p := cursor[id-1]
-			ord[p] = int32(r)
-			cursor[id-1] = p + 1
-		}
-		// (c) Per-bucket blocked accumulation, then the suffix sweep.
-		for b := 0; b < k; b++ {
-			members := ord[starts[b]:starts[b+1]]
-			if len(members) == 0 {
-				continue
-			}
-			base := (lo + b) * stride
-			row := buckets[base : base+stride : base+stride]
-			var lsum float64
-			for _, r := range members {
-				lsum += sc.rowLoss[r]
-			}
-			row[0] += lsum
-			row[1] += float64(len(members))
-			linalg.AddGatherRows(row[2:], sc.rowGrads, members, w)
-		}
-		if !cat {
-			linalg.SuffixSumRows(buckets[lo*stride:hi*stride], k, stride)
-		}
-		for pos := lo; pos < hi; pos++ {
-			row := buckets[pos*stride : pos*stride+stride : pos*stride+stride]
-			slot := ents[pos-lo].slot
-			ix.loss[slot] += row[0]
-			ix.n[slot] += row[1]
-			linalg.Add(ix.gradOf(slot), row[2:])
-		}
-	}
+	// per feature and fold each candidate's suffix total into its arena
+	// slot, caching the slot's gain norms (scan.go).
+	t.scan(n, nu)
 
 	t.admit(n, batchLoss, batchGrad, used)
 }
@@ -485,10 +291,14 @@ func (t *Tree) admit(n *node, batchLoss float64, batchGrad []float64, used float
 	cfg := &t.cfg
 	ix := n.idx
 
+	// A proposal's arena statistics are its batch statistics, so its gain
+	// is taken against the batch: the cached ||g||² applies, the norm of
+	// the right branch is against batchGrad.
+	ix.refreshNorms(n.grad)
 	scored := sc.scored[:0]
 	for _, p := range sc.props {
-		g, ok := candidateGain(batchLoss, batchLoss, batchGrad, used,
-			ix.loss[p.slot], ix.gradOf(p.slot), ix.n[p.slot], cfg.LearningRate, 1)
+		g, ok := gainFromNorms(batchLoss, batchLoss, used, ix.loss[p.slot], ix.n[p.slot],
+			ix.normG[p.slot], linalg.Norm2SqDiff(batchGrad, ix.gradOf(p.slot)), cfg.LearningRate, 1)
 		if !ok {
 			continue // stays flagged as proposal; swept below
 		}
@@ -517,8 +327,7 @@ func (t *Tree) admit(n *node, batchLoss float64, batchGrad []float64, used float
 				if sc.propSlot[e.slot] {
 					continue // this batch's proposals are not victims
 				}
-				g, ok := candidateGain(n.loss, n.loss, n.grad, n.n,
-					ix.loss[e.slot], ix.gradOf(e.slot), ix.n[e.slot], cfg.LearningRate, 1)
+				g, ok := slotGain(n, e.slot, n.loss, cfg.LearningRate, 1)
 				if !ok {
 					g = math.Inf(-1)
 				}
@@ -622,6 +431,7 @@ func (t *Tree) bestCandidate(n *node, referenceLoss float64, skipCurrent bool) (
 	sc := t.scratch
 	best := splitChoice{gain: math.Inf(-1)}
 	found := false
+	ix.refreshNorms(n.grad)
 	for j := 0; j < ix.m; j++ {
 		lo, hi := ix.featRange(j)
 		if hi == lo {
@@ -630,9 +440,7 @@ func (t *Tree) bestCandidate(n *node, referenceLoss float64, skipCurrent bool) (
 		if !t.schema.IsCategorical(j) {
 			for pos := lo; pos < hi; pos++ {
 				e := ix.entries[pos]
-				g, ok := candidateGain(referenceLoss, n.loss, n.grad, n.n,
-					ix.loss[e.slot], ix.gradOf(e.slot), ix.n[e.slot],
-					cfg.LearningRate, cfg.MinBranchWeight)
+				g, ok := slotGain(n, e.slot, referenceLoss, cfg.LearningRate, cfg.MinBranchWeight)
 				if !ok {
 					continue
 				}
@@ -650,9 +458,7 @@ func (t *Tree) bestCandidate(n *node, referenceLoss float64, skipCurrent bool) (
 		gains := sc.catGain[:0]
 		for pos := lo; pos < hi; pos++ {
 			e := ix.entries[pos]
-			g, ok := candidateGain(referenceLoss, n.loss, n.grad, n.n,
-				ix.loss[e.slot], ix.gradOf(e.slot), ix.n[e.slot],
-				cfg.LearningRate, 1)
+			g, ok := slotGain(n, e.slot, referenceLoss, cfg.LearningRate, 1)
 			if !ok {
 				continue
 			}

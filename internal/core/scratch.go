@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/pool"
+)
 
 // proposal is one candidate value drawn from the current batch, already
 // inserted provisionally into the node's candidate index (so its batch
@@ -30,12 +34,6 @@ type levelBufs struct {
 type scratch struct {
 	batchGrad []float64 // the batch's summed gradient (w)
 
-	// buckets is the per-batch accumulation matrix: one (w+2)-wide row —
-	// [loss, count, gradient...] — per candidate-index entry, laid out
-	// per-feature contiguous so the batch-end suffix-sum sweep is one
-	// linalg.SuffixSumRows call per feature.
-	buckets []float64
-
 	// Per-batch row cache, filled by the first (row-major) pass over the
 	// batch and consumed by the second (feature-major) bucket pass:
 	// rowLoss[r] and rowGrads[r*w:(r+1)*w] hold the r-th usable row's loss
@@ -47,15 +45,11 @@ type scratch struct {
 	cols     []float64
 	rowCap   int // row capacity of the cache (high-water batch size)
 
-	// Counting-sort workspace of the feature-major bucket sweep: ids[r] is
-	// row r's accepted-prefix length on the current feature (0 = no
-	// threshold accepts it), ord the row indices grouped by bucket, and
-	// cnts/starts/cursor the histogram and group offsets.
-	ids    []int32
-	ord    []int32
-	cnts   []int32
-	starts []int32
-	cursor []int32
+	// scan is the feature-major pass over the row cache, split into
+	// feature ranges that run on the shared worker pool when the batch
+	// is large enough (see scanGate).
+	scan  scanTask
+	group pool.Group
 
 	props    []proposal // this batch's proposals
 	scored   []proposal // proposals that passed the gain filter
@@ -81,20 +75,18 @@ type scratch struct {
 }
 
 func newScratch(w, slots int) *scratch {
-	return &scratch{
+	sc := &scratch{
 		batchGrad: make([]float64, w),
-		buckets:   make([]float64, slots*(w+2)),
 		props:     make([]proposal, 0, slots),
 		scored:    make([]proposal, 0, slots),
 		drop:      make([]bool, slots),
 		propSlot:  make([]bool, slots),
-		cnts:      make([]int32, slots+1),
-		starts:    make([]int32, slots+1),
-		cursor:    make([]int32, slots+1),
 		catOrd:    make([]int32, 0, slots),
 		catGain:   make([]float64, 0, slots),
 		catGrad:   make([]float64, w),
 	}
+	sc.scan.w, sc.scan.slots = w, slots
+	return sc
 }
 
 // reserveRows sizes the per-batch row cache for a batch of rows rows, m
@@ -108,8 +100,9 @@ func (sc *scratch) reserveRows(rows, m, w int) {
 	sc.rowLoss = make([]float64, rows)
 	sc.rowGrads = make([]float64, rows*w)
 	sc.cols = make([]float64, rows*m)
-	sc.ids = make([]int32, rows)
-	sc.ord = make([]int32, rows)
+	for i := range sc.scan.ranges {
+		sc.scan.ranges[i].reserveRows(rows)
+	}
 }
 
 // level returns the partition buffers of one depth, growing the ladder on

@@ -7,7 +7,7 @@
 // RNG stream, processes each incoming batch independently, and any
 // cross-member coupling (Leveraging Bagging's worst-member reset) happens
 // in a serial step after the batch. Because member state is disjoint,
-// Learn can fan the members out across a bounded worker pool
+// Learn can fan the members out on the shared worker pool
 // (Config.Workers) and parallel runs are byte-identical to sequential
 // runs under a fixed Config.Seed — the same guarantee eval.Runner gives
 // across experiment cells.
@@ -20,6 +20,7 @@ import (
 	"repro/internal/drift"
 	"repro/internal/hoeffding"
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
@@ -97,10 +98,11 @@ type Config struct {
 	// member monitors (default 0.002, the customary ADWIN delta).
 	WarnDelta  float64
 	DriftDelta float64
-	// Workers bounds the member-learning worker pool: Learn fans the
-	// members across min(Workers, Size) goroutines. 0 uses GOMAXPROCS;
-	// 1 learns sequentially. The parallel schedule never changes
-	// results (see the package comment).
+	// Workers bounds the member fan-out on the shared worker pool
+	// (internal/pool): Learn splits the members into at most
+	// min(Workers, Size) parts. 0 uses one part per pool goroutine
+	// (GOMAXPROCS); 1 learns sequentially. The parallel schedule never
+	// changes results (see the package comment).
 	Workers int
 	// Seed drives the Poisson sampling and subspace selection. Each
 	// member derives its own RNG stream from it.
@@ -244,7 +246,7 @@ func (a *ARF) Name() string { return "Forest Ens." }
 // worker pool; each member consumes the whole batch with its own RNG
 // stream, so the result does not depend on Workers.
 func (a *ARF) Learn(b stream.Batch) {
-	forEachMember(a.cfg.Workers, len(a.members), func(i int) {
+	pool.Each(a.cfg.Workers, len(a.members), func(i int) {
 		m := a.members[i]
 		for r, x := range b.X {
 			a.learnMemberOne(m, x, b.Y[r])
@@ -445,7 +447,7 @@ func (l *LevBag) Name() string { return "Bagging Ens." }
 // is reset (Bifet et al. [27], applied at batch granularity so member
 // learning stays embarrassingly parallel).
 func (l *LevBag) Learn(b stream.Batch) {
-	forEachMember(l.cfg.Workers, len(l.members), func(i int) {
+	pool.Each(l.cfg.Workers, len(l.members), func(i int) {
 		m := l.members[i]
 		for r, x := range b.X {
 			l.learnMemberOne(m, x, b.Y[r])

@@ -14,6 +14,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/nbayes"
+	"repro/internal/pool"
 	"repro/internal/split"
 	"repro/internal/stream"
 )
@@ -305,30 +306,87 @@ type splitRef struct {
 	mask      uint64
 }
 
+// scanGate decides whether a split attempt scans its features on the
+// shared worker pool: only when classes·|features| — the per-threshold
+// work of all Gaussian CDF evaluations — reaches minWork, because a small
+// scan costs less than the hand-off (on a 2-vCPU host, m = 76 binary
+// scans ran ~10% slower pooled; Gas*-shaped m = 128, 6-class ones gained). parts overrides the number of
+// feature ranges (0: one per pool goroutine). Tests force either path
+// through this variable; it is not a knob.
+var scanGate = struct {
+	minWork int
+	parts   int
+}{minWork: 512}
+
+// featureSplit is one feature's best candidate of a parallel scan.
+type featureSplit struct {
+	ref   splitRef
+	found bool
+}
+
+// scanTask is the pool task of a parallel scan: part i scores a
+// contiguous range of the feature set into Scratch.results.
+type scanTask struct {
+	s     *NodeStats
+	feats []int
+	parts int
+}
+
+func (st *scanTask) Part(i int) {
+	sc := st.s.sc
+	lo, hi := i*len(st.feats)/st.parts, (i+1)*len(st.feats)/st.parts
+	for k := lo; k < hi; k++ {
+		r := &sc.results[k]
+		r.ref, r.found = st.s.featureSplit(st.feats[k], sc.partScans[i])
+	}
+}
+
+// featureSplit scores feature j's best candidate split with the scan
+// buffers buf: a threshold split for a numeric feature, a native
+// equality/subset split for a categorical one.
+func (s *NodeStats) featureSplit(j int, buf *attrobs.ScanBuf) (splitRef, bool) {
+	if s.cats != nil && s.cats[j] != nil {
+		kind, thr, mask, m, f := s.cats[j].BestSplit(s.counts, s.cfg.Criterion, buf)
+		return splitRef{feature: j, threshold: thr, merit: m, kind: kind, mask: mask}, f
+	}
+	thr, m, f := s.observers[j].BestThreshold(s.counts, s.cfg.Criterion, buf)
+	return splitRef{feature: j, threshold: thr, merit: m}, f
+}
+
 // bestSplits scans the observed features for the two highest-merit
 // candidate splits through the shared scan buffers, allocating nothing.
 // Numeric features propose threshold splits; categorical features
 // propose native equality/subset splits from their exact level counts.
+// The features are scored into per-feature results — in parallel ranges
+// on the worker pool for a wide scan — and reduced in feature order, so
+// every path picks the same splits.
 func (s *NodeStats) bestSplits() (best, second splitRef, ok bool) {
 	best.merit, second.merit = math.Inf(-1), math.Inf(-1)
-	for _, j := range s.featureSet() {
-		var ref splitRef
-		var found bool
-		if s.cats != nil && s.cats[j] != nil {
-			kind, thr, mask, m, f := s.cats[j].BestSplit(s.counts, s.cfg.Criterion, s.sc.scan)
-			ref, found = splitRef{feature: j, threshold: thr, merit: m, kind: kind, mask: mask}, f
-		} else {
-			thr, m, f := s.observers[j].BestThreshold(s.counts, s.cfg.Criterion, s.sc.scan)
-			ref, found = splitRef{feature: j, threshold: thr, merit: m}, f
+	feats := s.featureSet()
+	parts := 1
+	if s.schema.NumClasses*len(feats) >= scanGate.minWork {
+		parts = scanGate.parts
+		if parts <= 0 {
+			parts = pool.Helpers() + 1
 		}
-		if !found {
+		parts = min(parts, len(feats))
+	}
+	sc := s.sc
+	for len(sc.partScans) < parts {
+		sc.partScans = append(sc.partScans, sc.newScanBuf())
+	}
+	sc.task = scanTask{s: s, feats: feats, parts: parts}
+	sc.group.Run(&sc.task, parts)
+	sc.task = scanTask{}
+	for _, r := range sc.results[:len(feats)] {
+		if !r.found {
 			continue
 		}
-		if ref.merit > best.merit {
+		if r.ref.merit > best.merit {
 			second = best
-			best = ref
-		} else if ref.merit > second.merit {
-			second = ref
+			best = r.ref
+		} else if r.ref.merit > second.merit {
+			second = r.ref
 		}
 		ok = true
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/attrobs"
+	"repro/internal/pool"
 	"repro/internal/stream"
 )
 
@@ -25,6 +26,15 @@ type Scratch struct {
 	perm    []int // subspace sampling pool
 	scan    *attrobs.ScanBuf
 	logPost []float64 // NBA observe-time NB log-posteriors
+
+	// The split scan (see scanGate): per-part scan buffers (part 0 uses
+	// scan), per-feature results in feature-set order, and the pool task
+	// and group.
+	numClasses, maxCard int
+	partScans           []*attrobs.ScanBuf
+	results             []featureSplit
+	task                scanTask
+	group               pool.Group
 }
 
 // NewScratch returns a workspace for trees over the schema.
@@ -34,17 +44,26 @@ func NewScratch(schema stream.Schema) *Scratch {
 		all[j] = j
 	}
 	sc := &Scratch{
-		all:     all,
-		perm:    make([]int, schema.NumFeatures),
-		scan:    attrobs.NewScanBuf(schema.NumClasses),
-		logPost: make([]float64, schema.NumClasses),
+		all:        all,
+		perm:       make([]int, schema.NumFeatures),
+		logPost:    make([]float64, schema.NumClasses),
+		results:    make([]featureSplit, schema.NumFeatures),
+		numClasses: schema.NumClasses,
 	}
 	for j := 0; j < schema.NumFeatures; j++ {
-		if c := schema.Cardinality(j); c > 0 {
-			sc.scan.ReserveLevels(c)
-		}
+		sc.maxCard = max(sc.maxCard, schema.Cardinality(j))
 	}
+	sc.scan = sc.newScanBuf()
+	sc.partScans = []*attrobs.ScanBuf{sc.scan}
 	return sc
+}
+
+func (sc *Scratch) newScanBuf() *attrobs.ScanBuf {
+	b := attrobs.NewScanBuf(sc.numClasses)
+	if sc.maxCard > 0 {
+		b.ReserveLevels(sc.maxCard)
+	}
+	return b
 }
 
 // sampleSubspace draws a sorted random k-subset of the m features via a

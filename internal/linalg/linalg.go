@@ -202,19 +202,82 @@ func AddGatherRows(dst, src []float64, rows []int32, stride int) {
 	}
 }
 
-// SuffixSumRows treats data as rows consecutive vectors of length stride
-// and replaces row i with the sum of rows i..rows-1 in place. It is the
-// batch-end pass that turns per-bucket candidate statistics into
-// per-candidate left-branch totals (Algorithm 1's candidate update,
-// restructured): row i accumulates everything at or below it in one
-// O(rows·stride) sweep instead of one pass per candidate.
-func SuffixSumRows(data []float64, rows, stride int) {
-	if rows*stride > len(data) {
-		panic("linalg: SuffixSumRows out of range")
+// AddNorms computes dst[i] += x[i] in place and returns, from the same
+// pass, Norm2Sq(dst) and Norm2SqDiff(p, dst) of the updated dst. Both
+// norms keep the four-accumulator order of Norm2Sq and Norm2SqDiff, so
+// they are bit-identical to calling those after Add. It is the
+// arena-update kernel of the DMT candidate scan: the gain of a candidate
+// needs exactly ||g||² and ||parent-g||² of its fresh left gradient g.
+func AddNorms(dst, x, p []float64) (sq, diffSq float64) {
+	if len(x) != len(dst) || len(p) != len(dst) {
+		panic("linalg: AddNorms length mismatch")
 	}
-	for i := rows - 2; i >= 0; i-- {
-		Add(data[i*stride:(i+1)*stride], data[(i+1)*stride:(i+2)*stride])
+	var s0, s1, s2, s3 float64
+	var t0, t1, t2, t3 float64
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		di := dst[i : i+4 : i+4]
+		xi := x[i : i+4 : i+4]
+		pi := p[i : i+4 : i+4]
+		c0 := di[0] + xi[0]
+		c1 := di[1] + xi[1]
+		c2 := di[2] + xi[2]
+		c3 := di[3] + xi[3]
+		di[0], di[1], di[2], di[3] = c0, c1, c2, c3
+		s0 += c0 * c0
+		s1 += c1 * c1
+		s2 += c2 * c2
+		s3 += c3 * c3
+		d0 := pi[0] - c0
+		d1 := pi[1] - c1
+		d2 := pi[2] - c2
+		d3 := pi[3] - c3
+		t0 += d0 * d0
+		t1 += d1 * d1
+		t2 += d2 * d2
+		t3 += d3 * d3
 	}
+	for ; i < len(dst); i++ {
+		c := dst[i] + x[i]
+		dst[i] = c
+		s0 += c * c
+		d := p[i] - c
+		t0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+}
+
+// Norms returns Norm2Sq(c) and Norm2SqDiff(p, c) from one pass, each
+// bit-identical to the separate call.
+func Norms(c, p []float64) (sq, diffSq float64) {
+	if len(p) != len(c) {
+		panic("linalg: Norms length mismatch")
+	}
+	var s0, s1, s2, s3 float64
+	var t0, t1, t2, t3 float64
+	i := 0
+	for ; i+4 <= len(c); i += 4 {
+		ci := c[i : i+4 : i+4]
+		pi := p[i : i+4 : i+4]
+		s0 += ci[0] * ci[0]
+		s1 += ci[1] * ci[1]
+		s2 += ci[2] * ci[2]
+		s3 += ci[3] * ci[3]
+		d0 := pi[0] - ci[0]
+		d1 := pi[1] - ci[1]
+		d2 := pi[2] - ci[2]
+		d3 := pi[3] - ci[3]
+		t0 += d0 * d0
+		t1 += d1 * d1
+		t2 += d2 * d2
+		t3 += d3 * d3
+	}
+	for ; i < len(c); i++ {
+		s0 += c[i] * c[i]
+		d := p[i] - c[i]
+		t0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
 }
 
 // Clone returns a copy of x.

@@ -102,33 +102,34 @@ func TestUnrolledKernelsMatchNaive(t *testing.T) {
 	}
 }
 
-func TestSuffixSumRows(t *testing.T) {
-	// 4 rows of stride 3: row i must become the sum of rows i..3.
-	data := []float64{
-		1, 2, 3,
-		10, 20, 30,
-		100, 200, 300,
-		1000, 2000, 3000,
-	}
-	SuffixSumRows(data, 4, 3)
-	want := []float64{
-		1111, 2222, 3333,
-		1110, 2220, 3330,
-		1100, 2200, 3300,
-		1000, 2000, 3000,
-	}
-	for i := range want {
-		if data[i] != want[i] {
-			t.Fatalf("SuffixSumRows[%d] = %v, want %v", i, data[i], want[i])
+// AddNorms and Norms must be bit-identical to Add followed by Norm2Sq
+// and Norm2SqDiff, for every width (all unrolling remainders): the DMT's
+// cached candidate gains depend on it.
+func TestAddNormsMatchesSeparateKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 0; n <= 13; n++ {
+		dst := make([]float64, n)
+		x := make([]float64, n)
+		p := make([]float64, n)
+		for i := 0; i < n; i++ {
+			dst[i], x[i], p[i] = rng.NormFloat64()*1e3, rng.NormFloat64(), rng.NormFloat64()*7
+		}
+		want := append([]float64(nil), dst...)
+		Add(want, x)
+		wantSq, wantDiff := Norm2Sq(want), Norm2SqDiff(p, want)
+		sq, diff := AddNorms(dst, x, p)
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("n=%d: AddNorms dst[%d] = %v, want %v", n, i, dst[i], want[i])
+			}
+		}
+		if sq != wantSq || diff != wantDiff {
+			t.Fatalf("n=%d: AddNorms = (%v, %v), want (%v, %v)", n, sq, diff, wantSq, wantDiff)
+		}
+		if sq, diff := Norms(dst, p); sq != wantSq || diff != wantDiff {
+			t.Fatalf("n=%d: Norms = (%v, %v), want (%v, %v)", n, sq, diff, wantSq, wantDiff)
 		}
 	}
-	// Zero and one row are no-ops.
-	one := []float64{5, 6}
-	SuffixSumRows(one, 1, 2)
-	if one[0] != 5 || one[1] != 6 {
-		t.Fatal("single-row suffix sum changed data")
-	}
-	SuffixSumRows(nil, 0, 2)
 }
 
 // AddGatherRows must be bit-identical to adding the gathered rows one at

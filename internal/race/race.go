@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +30,7 @@ import (
 	"repro/internal/drift"
 	"repro/internal/model"
 	"repro/internal/persist"
+	"repro/internal/pool"
 	"repro/internal/registry"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -68,8 +68,9 @@ type Config struct {
 	Arms []Arm
 	// Seed derives every arm's default seed.
 	Seed int64
-	// Workers bounds the arm-training pool (0 = GOMAXPROCS, 1 =
-	// sequential; results are identical either way).
+	// Workers bounds the arm-training fan-out on the shared worker pool
+	// (0 = one part per pool goroutine, 1 = sequential; results are
+	// identical either way).
 	Workers int
 	// Window is the per-arm prequential window capacity (default
 	// DefaultWindow).
@@ -325,40 +326,6 @@ func structureVersion(c model.Classifier) (uint64, bool) {
 	return 0, false
 }
 
-// forEachArm is the ensemble pool pattern: bounded workers claim arm
-// indices from an atomic counter; one worker (or one arm) runs inline.
-func forEachArm(workers, n int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // clipProb floors a probability before the log, matching the
 // evaluator's log-loss clamp.
 func clipProb(p float64) float64 {
@@ -383,7 +350,7 @@ func (r *Racer) Learn(b stream.Batch) {
 	if n == 0 {
 		return
 	}
-	forEachArm(r.cfg.Workers, len(r.arms), func(i int) {
+	pool.Each(r.cfg.Workers, len(r.arms), func(i int) {
 		a := r.arms[i]
 		a.drifted = false
 		pc, probabilistic := a.clf.(model.ProbabilisticClassifier)

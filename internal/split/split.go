@@ -10,6 +10,13 @@ type Criterion interface {
 	// Merit returns the improvement of splitting pre into the post
 	// branches (higher is better; <= 0 means no improvement).
 	Merit(pre []float64, post [][]float64) float64
+	// PreImpurity returns the parts of Merit that depend on pre alone —
+	// its total weight and impurity — so a scan over many candidate
+	// splits of one node computes them once.
+	PreImpurity(pre []float64) (total, impurity float64)
+	// MeritFrom is Merit with the pre-split part taken from PreImpurity;
+	// it returns exactly Merit's bits.
+	MeritFrom(total, impurity float64, post [][]float64) float64
 	// Range returns the value range R of the merit for the Hoeffding
 	// bound, given the number of classes.
 	Range(numClasses int) float64
@@ -61,8 +68,18 @@ func gini(counts []float64) float64 {
 type InfoGain struct{}
 
 // Merit implements Criterion.
-func (InfoGain) Merit(pre []float64, post [][]float64) float64 {
-	total := sum(pre)
+func (c InfoGain) Merit(pre []float64, post [][]float64) float64 {
+	total, h := c.PreImpurity(pre)
+	return c.MeritFrom(total, h, post)
+}
+
+// PreImpurity implements Criterion.
+func (InfoGain) PreImpurity(pre []float64) (total, impurity float64) {
+	return sum(pre), entropy(pre)
+}
+
+// MeritFrom implements Criterion.
+func (InfoGain) MeritFrom(total, impurity float64, post [][]float64) float64 {
 	if total <= 0 {
 		return 0
 	}
@@ -71,7 +88,7 @@ func (InfoGain) Merit(pre []float64, post [][]float64) float64 {
 		w := sum(branch) / total
 		after += w * entropy(branch)
 	}
-	return entropy(pre) - after
+	return impurity - after
 }
 
 // Range implements Criterion: log2(c), at least 1.
@@ -89,8 +106,18 @@ func (InfoGain) Name() string { return "info_gain" }
 type GiniGain struct{}
 
 // Merit implements Criterion.
-func (GiniGain) Merit(pre []float64, post [][]float64) float64 {
-	total := sum(pre)
+func (c GiniGain) Merit(pre []float64, post [][]float64) float64 {
+	total, g := c.PreImpurity(pre)
+	return c.MeritFrom(total, g, post)
+}
+
+// PreImpurity implements Criterion.
+func (GiniGain) PreImpurity(pre []float64) (total, impurity float64) {
+	return sum(pre), gini(pre)
+}
+
+// MeritFrom implements Criterion.
+func (GiniGain) MeritFrom(total, impurity float64, post [][]float64) float64 {
 	if total <= 0 {
 		return 0
 	}
@@ -99,7 +126,7 @@ func (GiniGain) Merit(pre []float64, post [][]float64) float64 {
 		w := sum(branch) / total
 		after += w * gini(branch)
 	}
-	return gini(pre) - after
+	return impurity - after
 }
 
 // Range implements Criterion.
