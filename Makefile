@@ -28,8 +28,12 @@
 # trainer (race:glm,vfdt,nb) learns a recurring-drift stream under a
 # prediction hammer; the leader must change at least once, /statusz must
 # carry the per-arm scoreboard, and zero requests may fail.
-# `make fuzz` runs each native fuzz target for FUZZTIME on top of its
-# committed corpus (testdata/fuzz); a failing input is written there.
+# `make fuzz` runs each native fuzz target — the binary row decoder, the
+# checkpoint envelope reader and the checkpoint bundle reader — for
+# FUZZTIME on top of its committed corpus (testdata/fuzz); a failing
+# input is written there. Minimizing a new input is capped at
+# FUZZMINTIME: the checkpoint seeds run to kilobytes, and minimizing one
+# under the default 60 s would spend the whole FUZZTIME without fuzzing.
 # `make bench-unit` vets and tests bench/dmtperf, which is its own
 # module and so is not reached by the root `go test ./...`.
 # `make inline` re-runs the pool-vs-inline identity tests and the
@@ -43,6 +47,7 @@ BENCHTIME ?= 1s
 CHAOS_SPEC ?= drop@0.15,reset@0.05,status=503@0.05,status=429@0.02,truncate=512@0.1
 CHAOS_SEED ?= 7
 FUZZTIME ?= 10s
+FUZZMINTIME ?= 1s
 
 .PHONY: all ci vet build test race inline fuzz bench-unit bench bench-all serve-smoke chaos-smoke race-smoke fmt
 
@@ -67,7 +72,9 @@ inline:
 		./internal/core ./internal/hoeffding ./internal/pool
 
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/persist
 
 bench-unit:
 	cd bench/dmtperf && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...

@@ -52,8 +52,7 @@ func Save(w io.Writer, c Classifier) error { return persist.Save(w, c) }
 // The registry resolves the model's restore factory from the envelope's
 // model name; the caller never names the concrete type. Corrupt,
 // truncated or checksum-mismatched envelopes and checkpoints from newer
-// format versions are rejected with descriptive errors. For legacy
-// pre-envelope DMT gob checkpoints, use LoadDMT.
+// format versions are rejected with descriptive errors.
 func Load(r io.Reader) (Classifier, error) { return persist.Load(r) }
 
 // RegisterLoader adds the checkpoint-restore factory of an externally

@@ -163,45 +163,6 @@ func TestLoadRejectsDamagedEnvelopes(t *testing.T) {
 	}
 }
 
-// TestLoadDMTReadsEnvelopes checks the deprecated shim reads the new
-// format (the legacy v1 path is covered in internal/core).
-func TestLoadDMTReadsEnvelopes(t *testing.T) {
-	gen := NewSEA(50_000, 0.1, 42)
-	clf := MustNew("DMT", gen.Schema(), WithSeed(3)).(*DMT)
-	for _, b := range collectBatches(t, gen, 5, 64) {
-		clf.Learn(b)
-	}
-	var buf bytes.Buffer
-	if err := clf.Save(&buf); err != nil { // deprecated shim writes an envelope
-		t.Fatal(err)
-	}
-	loaded, err := LoadDMT(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Complexity() != clf.Complexity() {
-		t.Fatal("complexity changed through the shim")
-	}
-	// The unified Load resolves the same envelope without naming a type.
-	generic, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := generic.(*DMT); !ok {
-		t.Fatalf("Load reconstructed %T, want *DMT", generic)
-	}
-	// A non-DMT envelope must be refused by the DMT-typed shim.
-	var other bytes.Buffer
-	nb := MustNew("Naive Bayes", gen.Schema())
-	nb.Learn(Batch{X: [][]float64{{0.1, 0.2, 0.3}}, Y: []int{0}})
-	if err := Save(&other, nb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDMT(bytes.NewReader(other.Bytes())); err == nil {
-		t.Fatal("LoadDMT accepted a Naive Bayes envelope")
-	}
-}
-
 // TestScorerCheckpointRestore verifies the serving layer round trip for
 // all three scorer implementations: a restored scorer serves and keeps
 // learning byte-identically to the one that was checkpointed.

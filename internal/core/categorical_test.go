@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/persist"
+	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/synth"
 )
@@ -107,13 +109,10 @@ func TestDMTCategoricalCheckpointContinue(t *testing.T) {
 		subject.Learn(batches[i])
 	}
 	var buf bytes.Buffer
-	if err := subject.Save(&buf); err != nil {
+	if err := persist.Save(&buf, subject); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := loadTree(t, &buf)
 	for i := half; i < len(batches); i++ {
 		control.Learn(batches[i])
 		restored.Learn(batches[i])
@@ -164,6 +163,7 @@ type legacyTreeDoc struct {
 	Prunes   int
 	Changes  []ChangeEvent
 	Root     *legacyNodeDoc
+	RNG      rng.State
 }
 
 // A checkpoint written before feature kinds existed — numeric-only
@@ -174,10 +174,11 @@ func TestLegacyNumericDocumentLoads(t *testing.T) {
 	w := make([]float64, 3) // glm weights for 2 features, 2 classes
 	g := make([]float64, 3)
 	doc := legacyTreeDoc{
-		Version: treeDocVersionLegacy,
+		Version: treeDocVersion,
 		Config:  Config{Seed: 1},
 		Schema:  schema,
 		Step:    4,
+		RNG:     New(Config{Seed: 1}, schema).rngSrc.State(),
 		Root: &legacyNodeDoc{
 			Weights: w, Grad: g, N: 10, Feature: 1, Threshold: 0.5,
 			Left:  &legacyNodeDoc{Weights: w, Grad: g, N: 5},

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/model"
+	"repro/internal/persist"
 	"repro/internal/stream"
 )
 
@@ -422,15 +423,12 @@ func TestChangeLogRingOrderAndCheckpoint(t *testing.T) {
 	}
 
 	var saved bytes.Buffer
-	if err := tree.Save(&saved); err != nil {
+	if err := persist.Save(&saved, tree); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(saved.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadTree(t, bytes.NewReader(saved.Bytes()))
 	var resaved bytes.Buffer
-	if err := loaded.Save(&resaved); err != nil {
+	if err := persist.Save(&resaved, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
@@ -441,10 +439,10 @@ func TestChangeLogRingOrderAndCheckpoint(t *testing.T) {
 		loaded.logChange(ChangeEvent{Step: i})
 	}
 	var a, b bytes.Buffer
-	if err := tree.Save(&a); err != nil {
+	if err := persist.Save(&a, tree); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Save(&b); err != nil {
+	if err := persist.Save(&b, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

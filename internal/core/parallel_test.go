@@ -200,7 +200,7 @@ func TestNormsCacheStaysFresh(t *testing.T) {
 			tree.Learn(nan)
 			checkNormsFresh(t, tree, "after an all-non-finite batch")
 
-			restored, err := Load(bytes.NewReader(checkpointBytes(t, tree)))
+			restored, err := loadPayload(bytes.NewReader(checkpointBytes(t, tree)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

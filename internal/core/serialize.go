@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -9,18 +8,14 @@ import (
 
 	"repro/internal/glm"
 	"repro/internal/model"
-	"repro/internal/persist"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
-// The gob document types of the DMT checkpoint payload. Version 1 is the
-// legacy pre-envelope format: it carried no RNG state, so a loaded tree
-// was re-seeded deterministically from Config.Seed and the step counter
-// — reproducible, but its future random draws differed from an
-// uninterrupted run. Version 2 (the payload inside the persist envelope)
-// adds the counted RNG state, making save → load → continue byte-
-// identical to never having stopped.
+// The gob document types of the DMT checkpoint payload (the payload
+// inside the persist envelope). The document carries the counted RNG
+// state, making save → load → continue byte-identical to never having
+// stopped.
 type treeDoc struct {
 	Version  int
 	Config   Config
@@ -31,7 +26,7 @@ type treeDoc struct {
 	Prunes   int
 	Changes  []ChangeEvent
 	Root     *nodeDoc
-	RNG      rng.State // since version 2
+	RNG      rng.State
 }
 
 type nodeDoc struct {
@@ -61,10 +56,7 @@ type candDoc struct {
 	N       float64
 }
 
-const (
-	treeDocVersionLegacy = 1
-	treeDocVersion       = 2
-)
+const treeDocVersion = 2
 
 // doc assembles the serialisable document of the current tree state.
 func (t *Tree) doc() treeDoc {
@@ -85,7 +77,8 @@ func (t *Tree) doc() treeDoc {
 // SaveState implements model.Checkpointer: the full tree state
 // (structure, simple-model weights, loss/gradient accumulators,
 // candidate statistics, change log, RNG position) as the checkpoint
-// payload. Use repro.Save / persist.Save for the enveloped form.
+// payload. Use repro.Save / persist.Save for the enveloped form; the
+// registered "DMT" loader reads it back.
 func (t *Tree) SaveState(w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(t.doc()); err != nil {
 		return fmt.Errorf("core: save DMT: %w", err)
@@ -93,62 +86,18 @@ func (t *Tree) SaveState(w io.Writer) error {
 	return nil
 }
 
-// Save writes the tree as a registry-wide checkpoint envelope.
-//
-// Deprecated: Save is a shim over the unified persistence API; new code
-// should use repro.Save, which works for every registered model.
-func (t *Tree) Save(w io.Writer) error {
-	return persist.Save(w, t)
-}
-
-// saveLegacyV1 writes the pre-envelope version-1 bare gob document. It
-// exists so tests (and migration tooling) can exercise the legacy read
-// path without keeping old binaries around.
-func (t *Tree) saveLegacyV1(w io.Writer) error {
-	doc := t.doc()
-	doc.Version = treeDocVersionLegacy
-	doc.RNG = rng.State{}
-	if err := gob.NewEncoder(w).Encode(doc); err != nil {
-		return fmt.Errorf("core: save legacy DMT: %w", err)
-	}
-	return nil
-}
-
-// Load restores a Dynamic Model Tree from either checkpoint format: a
-// persist envelope written by Save / repro.Save, or a legacy version-1
-// bare gob document from before the envelope existed.
-func Load(r io.Reader) (*Tree, error) {
-	br := bufio.NewReader(r)
-	if persist.SniffEnvelope(br) {
-		env, err := persist.ReadEnvelope(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: load DMT: %w", err)
-		}
-		c, err := persist.LoadEnvelope(env)
-		if err != nil {
-			return nil, fmt.Errorf("core: load DMT: %w", err)
-		}
-		t, ok := c.(*Tree)
-		if !ok {
-			return nil, fmt.Errorf("core: load DMT: checkpoint holds a %s, not a DMT", c.Name())
-		}
-		return t, nil
-	}
-	return loadPayload(br, nil)
-}
-
-// loadPayload decodes a tree document (any supported version) and
-// rebuilds the tree. wantSchema, when non-nil, must match the document's
-// schema — the envelope loader passes the header schema through so a
-// tampered envelope cannot smuggle a mismatched payload.
+// loadPayload decodes a tree document and rebuilds the tree.
+// wantSchema, when non-nil, must match the document's schema — the
+// envelope loader passes the header schema through so a tampered
+// envelope cannot smuggle a mismatched payload.
 func loadPayload(r io.Reader, wantSchema *stream.Schema) (*Tree, error) {
 	var doc treeDoc
 	if err := gob.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("core: load DMT: %w", err)
 	}
-	if doc.Version != treeDocVersionLegacy && doc.Version != treeDocVersion {
-		return nil, fmt.Errorf("core: load DMT: unsupported document version %d (this build reads %d and the legacy %d)",
-			doc.Version, treeDocVersion, treeDocVersionLegacy)
+	if doc.Version != treeDocVersion {
+		return nil, fmt.Errorf("core: load DMT: unsupported document version %d (this build reads %d)",
+			doc.Version, treeDocVersion)
 	}
 	if err := doc.Schema.Validate(); err != nil {
 		return nil, fmt.Errorf("core: load DMT: %w", err)
@@ -172,13 +121,7 @@ func loadPayload(r io.Reader, wantSchema *stream.Schema) (*Tree, error) {
 		prunes:   doc.Prunes,
 		changes:  doc.Changes,
 	}
-	if doc.Version >= treeDocVersion {
-		t.rng, t.rngSrc = rng.Restore(doc.RNG)
-	} else {
-		// Legacy documents carry no RNG state: re-seed deterministically
-		// from the seed and step counter, the historical v1 behaviour.
-		t.rng, t.rngSrc = rng.New(doc.Config.Seed*1_000_003 + int64(doc.Step))
-	}
+	t.rng, t.rngSrc = rng.Restore(doc.RNG)
 	root, err := t.decodeNode(doc.Root)
 	if err != nil {
 		return nil, err
@@ -207,8 +150,8 @@ func encodeNode(n *node) *nodeDoc {
 		Right:     encodeNode(n.right),
 	}
 	// Candidates are emitted in index order (feature ascending, threshold
-	// descending); the document format is unchanged from version 1, so
-	// pre-index checkpoints load into the index and vice versa.
+	// descending); the document format predates the index, so pre-index
+	// checkpoints load into the index and vice versa.
 	ix := n.idx
 	for j := 0; j < ix.m; j++ {
 		lo, hi := ix.featRange(j)

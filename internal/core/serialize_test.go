@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/persist"
 	"repro/internal/stream"
 )
 
@@ -23,13 +25,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
+	if err := persist.Save(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadTree(t, &buf)
 
 	if loaded.Complexity() != tree.Complexity() {
 		t.Fatalf("complexity changed: %+v vs %+v", loaded.Complexity(), tree.Complexity())
@@ -80,13 +79,10 @@ func TestSaveLoadMulticlass(t *testing.T) {
 		tree.Learn(b)
 	}
 	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
+	if err := persist.Save(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadTree(t, &buf)
 	x := []float64{0.3, 0.5, 0.7, 0.9}
 	if tree.Predict(x) != loaded.Predict(x) {
 		t.Fatal("multiclass prediction differs")
@@ -94,10 +90,10 @@ func TestSaveLoadMulticlass(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, err := loadPayload(bytes.NewReader([]byte("not a gob")), nil); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := loadPayload(bytes.NewReader(nil), nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -113,13 +109,10 @@ func TestSaveLoadPreservesCandidates(t *testing.T) {
 		t.Fatal("precondition: root should hold candidates")
 	}
 	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
+	if err := persist.Save(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadTree(t, &buf)
 	if loaded.root.idx.size() != nCands {
 		t.Fatalf("candidates lost: %d vs %d", loaded.root.idx.size(), nCands)
 	}
@@ -158,9 +151,8 @@ func TestLoadRejectsCorruptCandidates(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tree.Learn(piecewiseBatch(rng, 50, 0))
 	}
-	// Poison the bare payload document; the envelope-free bytes exercise
-	// Load's legacy path, which reads bare gob documents of any
-	// supported version.
+	// Poison the bare payload document, which the envelope's loader
+	// decodes.
 	var buf bytes.Buffer
 	if err := tree.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -169,79 +161,30 @@ func TestLoadRejectsCorruptCandidates(t *testing.T) {
 	doc.Root.Candidates = append(doc.Root.Candidates, candDoc{
 		Feature: 99, Value: 0.5, Grad: make([]float64, tree.root.mod.NumWeights()),
 	})
-	if _, err := Load(bytes.NewReader(encodeDoc(t, doc))); err == nil {
+	if _, err := loadPayload(bytes.NewReader(encodeDoc(t, doc)), nil); err == nil {
 		t.Fatal("out-of-range candidate feature accepted")
 	}
 	doc = decodeDoc(t, buf.Bytes())
 	doc.Root.Candidates = append(doc.Root.Candidates, candDoc{
 		Feature: 0, Value: math.NaN(), Grad: make([]float64, tree.root.mod.NumWeights()),
 	})
-	if _, err := Load(bytes.NewReader(encodeDoc(t, doc))); err == nil {
+	if _, err := loadPayload(bytes.NewReader(encodeDoc(t, doc)), nil); err == nil {
 		t.Fatal("NaN candidate threshold accepted")
 	}
 }
 
-// TestLegacyV1DocStillLoads pins the backwards-compatibility promise:
-// a pre-envelope version-1 bare gob document — what (*Tree).Save wrote
-// before the unified checkpoint API — still loads through Load (and
-// therefore repro.LoadDMT), with the historical re-seeded RNG.
-func TestLegacyV1DocStillLoads(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	tree := New(Config{Seed: 35}, schema(3, 2))
-	for i := 0; i < 300; i++ {
-		tree.Learn(piecewiseBatch(rng, 100, 0.05))
-	}
-	var buf bytes.Buffer
-	if err := tree.saveLegacyV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
+// loadTree reads one checkpoint envelope and requires a DMT inside.
+func loadTree(t *testing.T, r io.Reader) *Tree {
+	t.Helper()
+	c, err := persist.Load(r)
 	if err != nil {
-		t.Fatalf("legacy v1 doc rejected: %v", err)
-	}
-	if loaded.Complexity() != tree.Complexity() {
-		t.Fatalf("complexity changed: %+v vs %+v", loaded.Complexity(), tree.Complexity())
-	}
-	test := piecewiseBatch(rng, 300, 0)
-	for i, x := range test.X {
-		if tree.Predict(x) != loaded.Predict(x) {
-			t.Fatalf("prediction %d differs after legacy round trip", i)
-		}
-	}
-	// The legacy format carries no RNG state; the loaded tree must still
-	// keep learning (the historical deterministic-reseed behaviour).
-	for i := 0; i < 50; i++ {
-		loaded.Learn(piecewiseBatch(rng, 100, 0.05))
-	}
-}
-
-// TestEnvelopeAndLegacySniffing checks Load distinguishes the two
-// formats by content, not by caller knowledge.
-func TestEnvelopeAndLegacySniffing(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	tree := New(Config{Seed: 36}, schema(3, 2))
-	for i := 0; i < 50; i++ {
-		tree.Learn(piecewiseBatch(rng, 100, 0.05))
-	}
-	var envelope, legacy bytes.Buffer
-	if err := tree.Save(&envelope); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.saveLegacyV1(&legacy); err != nil {
-		t.Fatal(err)
+	tree, ok := c.(*Tree)
+	if !ok {
+		t.Fatalf("checkpoint holds a %T, not a DMT", c)
 	}
-	if bytes.HasPrefix(legacy.Bytes(), envelope.Bytes()[:8]) {
-		t.Fatal("legacy doc accidentally starts with the envelope magic")
-	}
-	for _, raw := range [][]byte{envelope.Bytes(), legacy.Bytes()} {
-		loaded, err := Load(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.Complexity() != tree.Complexity() {
-			t.Fatal("complexity changed")
-		}
-	}
+	return tree
 }
 
 func decodeDoc(t *testing.T, raw []byte) *treeDoc {

@@ -51,8 +51,8 @@ func (ms *modelStream) capture(c model.Classifier) error {
 	if !asKeyframe {
 		d, err := persist.MakeDelta(ms.last, raw)
 		if err != nil {
-			// A capture that cannot be diffed (e.g. a sharded scorer's
-			// stacked stream) degrades to a keyframe instead of failing.
+			// A capture that cannot be diffed degrades to a keyframe
+			// instead of failing.
 			asKeyframe = true
 		} else if err := persist.WriteDelta(ms.w, d); err != nil {
 			return err

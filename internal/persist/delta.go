@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -114,19 +113,7 @@ func MakeDelta(base, target []byte) (*Delta, error) {
 
 // WriteDelta writes one delta envelope.
 func WriteDelta(w io.Writer, d *Delta) error {
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(d.Header); err != nil {
-		return fmt.Errorf("persist: encode delta header: %w", err)
-	}
-	if _, err := io.WriteString(w, DeltaMagic); err != nil {
-		return fmt.Errorf("persist: write delta magic: %w", err)
-	}
-	var hlen [4]byte
-	binary.BigEndian.PutUint32(hlen[:], uint32(hdr.Len()))
-	if _, err := w.Write(hlen[:]); err != nil {
-		return fmt.Errorf("persist: write delta header length: %w", err)
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
+	if err := writeHead(w, DeltaMagic, d.Header); err != nil {
 		return fmt.Errorf("persist: write delta header: %w", err)
 	}
 	if _, err := w.Write(d.Patch); err != nil {
@@ -139,28 +126,9 @@ func WriteDelta(w io.Writer, d *Delta) error {
 // version and patch checksum. Like ReadEnvelope it consumes precisely
 // the envelope's bytes, so full and delta envelopes stack on one stream.
 func ReadDelta(r io.Reader) (*Delta, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("persist: read delta magic: %w (truncated or not a delta)", err)
-	}
-	if string(magic[:]) != DeltaMagic {
-		return nil, fmt.Errorf("persist: bad delta magic %q: not a delta envelope (full checkpoints start with %q)", magic[:], Magic)
-	}
-	var hlenBuf [4]byte
-	if _, err := io.ReadFull(r, hlenBuf[:]); err != nil {
-		return nil, fmt.Errorf("persist: read delta header length: %w (truncated delta)", err)
-	}
-	hlen := binary.BigEndian.Uint32(hlenBuf[:])
-	if hlen == 0 || hlen > maxHeaderLen {
-		return nil, fmt.Errorf("persist: implausible delta header length %d: corrupt delta", hlen)
-	}
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("persist: read delta header: %w (truncated delta)", err)
-	}
 	var h DeltaHeader
-	if err := gob.NewDecoder(bytes.NewReader(hdr)).Decode(&h); err != nil {
-		return nil, fmt.Errorf("persist: decode delta header: %w (corrupt delta)", err)
+	if _, err := readHead(r, DeltaMagic, "delta", maxHeaderLen, &h); err != nil {
+		return nil, err
 	}
 	if h.Version > FormatVersion {
 		return nil, fmt.Errorf("persist: delta format version %d is newer than this build supports (max %d)", h.Version, FormatVersion)
@@ -168,8 +136,8 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	if h.PatchLen < 0 || h.PatchLen > maxPayloadLen {
 		return nil, fmt.Errorf("persist: implausible delta patch length %d: corrupt delta", h.PatchLen)
 	}
-	patch := make([]byte, h.PatchLen)
-	if _, err := io.ReadFull(r, patch); err != nil {
+	patch, err := readN(r, nil, h.PatchLen)
+	if err != nil {
 		return nil, fmt.Errorf("persist: read delta patch (%d bytes): %w (truncated delta)", h.PatchLen, err)
 	}
 	if crc := crc32.ChecksumIEEE(patch); crc != h.PatchCRC {

@@ -8,15 +8,28 @@
 // as registry.New resolves construction factories from a string.
 //
 // Wire layout (all sizes exact, so envelopes may be stacked on one
-// stream — the sharded scorer writes one per replica):
+// stream):
 //
 //	magic   [8]byte  "REPROCKP"
 //	hlen    uint32   big-endian length of the gob-encoded header
 //	header  gob      {Version, Model, Schema, Params, PayloadLen, PayloadCRC}
 //	payload [PayloadLen]byte  model-private (see model.Checkpointer)
 //
-// Format version 1 is the legacy bare-gob DMT document that predates the
-// envelope; it has no magic and only repro.LoadDMT / core.Load read it.
+// A composite checkpoint — several models that restore together, like
+// the sharded scorer's replicas or a racer's arms — is one bundle:
+//
+//	magic   [8]byte  "REPROBND"
+//	version, klen  uint32  big-endian, like every integer below
+//	kind    [klen]byte  the composite ("sharded", "race"), 1..64 bytes
+//	members, mlen  uint32  member count (1..4096), meta length
+//	meta    [mlen]byte  the composite's own state
+//	members × the envelope above
+//
+// The bundle header is not gob: gob's bytes depend on which types the
+// writing process encoded before.
+//
+// Delta envelopes ("REPRODLT", see delta.go) patch one full envelope
+// into another.
 package persist
 
 import (
@@ -36,8 +49,8 @@ import (
 // Magic identifies a checkpoint envelope.
 const Magic = "REPROCKP"
 
-// FormatVersion is the envelope format this build writes. Version 1 is
-// the pre-envelope legacy DMT gob document.
+// FormatVersion is the envelope format this build writes. Version 1 was
+// the pre-envelope DMT gob document, which no longer loads.
 const FormatVersion = 2
 
 // maxHeaderLen and maxPayloadLen bound the framed sections so a corrupt
@@ -123,19 +136,7 @@ func Save(w io.Writer, c model.Classifier) error {
 		h.StructVersion = sv.StructureVersion()
 		h.HasStructVersion = true
 	}
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(h); err != nil {
-		return fmt.Errorf("persist: encode header: %w", err)
-	}
-	if _, err := io.WriteString(w, Magic); err != nil {
-		return fmt.Errorf("persist: write magic: %w", err)
-	}
-	var hlen [4]byte
-	binary.BigEndian.PutUint32(hlen[:], uint32(hdr.Len()))
-	if _, err := w.Write(hlen[:]); err != nil {
-		return fmt.Errorf("persist: write header length: %w", err)
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
+	if err := writeHead(w, Magic, h); err != nil {
 		return fmt.Errorf("persist: write header: %w", err)
 	}
 	if _, err := w.Write(payload.Bytes()); err != nil {
@@ -148,46 +149,8 @@ func Save(w io.Writer, c model.Classifier) error {
 // version and payload checksum. It consumes precisely the envelope's
 // bytes, so callers may read several envelopes off one stream.
 func ReadEnvelope(r io.Reader) (*Envelope, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("persist: read magic: %w (truncated or not a checkpoint)", err)
-	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("persist: bad magic %q: not a model checkpoint envelope (a legacy DMT gob checkpoint loads through repro.LoadDMT)", magic[:])
-	}
-	var hlenBuf [4]byte
-	if _, err := io.ReadFull(r, hlenBuf[:]); err != nil {
-		return nil, fmt.Errorf("persist: read header length: %w (truncated checkpoint)", err)
-	}
-	hlen := binary.BigEndian.Uint32(hlenBuf[:])
-	if hlen == 0 || hlen > maxHeaderLen {
-		return nil, fmt.Errorf("persist: implausible header length %d: corrupt checkpoint", hlen)
-	}
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("persist: read header: %w (truncated checkpoint)", err)
-	}
-	var h Header
-	if err := gob.NewDecoder(bytes.NewReader(hdr)).Decode(&h); err != nil {
-		return nil, fmt.Errorf("persist: decode header: %w (corrupt checkpoint)", err)
-	}
-	if h.Version > FormatVersion {
-		return nil, fmt.Errorf("persist: checkpoint format version %d is newer than this build supports (max %d) — upgrade the library to load it", h.Version, FormatVersion)
-	}
-	if h.Version < FormatVersion {
-		return nil, fmt.Errorf("persist: checkpoint format version %d predates the envelope format %d (legacy DMT gob checkpoints load through repro.LoadDMT)", h.Version, FormatVersion)
-	}
-	if h.PayloadLen < 0 || h.PayloadLen > maxPayloadLen {
-		return nil, fmt.Errorf("persist: implausible payload length %d: corrupt checkpoint", h.PayloadLen)
-	}
-	payload := make([]byte, h.PayloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("persist: read payload (%d bytes): %w (truncated checkpoint)", h.PayloadLen, err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != h.PayloadCRC {
-		return nil, fmt.Errorf("persist: payload checksum mismatch (got %08x, header says %08x): corrupt checkpoint", crc, h.PayloadCRC)
-	}
-	return &Envelope{Header: h, Payload: payload}, nil
+	env, _, err := readEnvelope(r)
+	return env, err
 }
 
 // ReadRaw reads exactly one envelope off r — any reader, not just a
@@ -199,12 +162,108 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 // serving tier's trainer→replica envelope streaming is built on. Like
 // ReadEnvelope it consumes precisely the envelope's bytes.
 func ReadRaw(r io.Reader) ([]byte, Header, error) {
-	var buf bytes.Buffer
-	env, err := ReadEnvelope(io.TeeReader(r, &buf))
+	env, raw, err := readEnvelope(r)
 	if err != nil {
 		return nil, Header{}, err
 	}
-	return buf.Bytes(), env.Header, nil
+	return raw, env.Header, nil
+}
+
+// readEnvelope reads one envelope into a single buffer holding its
+// verbatim wire bytes; the returned envelope's payload is the buffer's
+// tail.
+func readEnvelope(r io.Reader) (*Envelope, []byte, error) {
+	var h Header
+	raw, err := readHead(r, Magic, "checkpoint", maxHeaderLen, &h)
+	if err != nil {
+		return nil, nil, err
+	}
+	if h.Version > FormatVersion {
+		return nil, nil, fmt.Errorf("persist: checkpoint format version %d is newer than this build supports (max %d) — upgrade the library to load it", h.Version, FormatVersion)
+	}
+	if h.Version < FormatVersion {
+		return nil, nil, fmt.Errorf("persist: checkpoint format version %d predates the envelope format %d and is no longer readable", h.Version, FormatVersion)
+	}
+	if h.PayloadLen < 0 || h.PayloadLen > maxPayloadLen {
+		return nil, nil, fmt.Errorf("persist: implausible payload length %d: corrupt checkpoint", h.PayloadLen)
+	}
+	if raw, err = readN(r, raw, h.PayloadLen); err != nil {
+		return nil, nil, fmt.Errorf("persist: read payload (%d bytes): %w (truncated checkpoint)", h.PayloadLen, err)
+	}
+	payload := raw[len(raw)-int(h.PayloadLen):]
+	if crc := crc32.ChecksumIEEE(payload); crc != h.PayloadCRC {
+		return nil, nil, fmt.Errorf("persist: payload checksum mismatch (got %08x, header says %08x): corrupt checkpoint", crc, h.PayloadCRC)
+	}
+	return &Envelope{Header: h, Payload: payload}, raw, nil
+}
+
+// writeHead writes the framing every record of this package starts
+// with: the magic, the big-endian length of the gob header, the header.
+func writeHead(w io.Writer, magic string, h any) error {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	buf.Write(make([]byte, 4))
+	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+		return err
+	}
+	b := buf.Bytes()
+	binary.BigEndian.PutUint32(b[len(magic):], uint32(len(b)-len(magic)-4))
+	_, err := w.Write(b)
+	return err
+}
+
+// readHead reads the framing writeHead wrote — checking the magic and
+// bounding the header length by maxLen — and decodes the header into h.
+// It returns the verbatim bytes read; what names the record in errors.
+func readHead(r io.Reader, magic, what string, maxLen uint32, h any) ([]byte, error) {
+	raw := make([]byte, len(magic)+4)
+	if _, err := io.ReadFull(r, raw[:len(magic)]); err != nil {
+		return nil, fmt.Errorf("persist: read %s magic: %w (truncated or not a %s)", what, err, what)
+	}
+	if string(raw[:len(magic)]) != magic {
+		return nil, fmt.Errorf("persist: bad magic %q: not a %s (want %q)", raw[:len(magic)], what, magic)
+	}
+	if _, err := io.ReadFull(r, raw[len(magic):]); err != nil {
+		return nil, fmt.Errorf("persist: read %s header length: %w (truncated %s)", what, err, what)
+	}
+	hlen := binary.BigEndian.Uint32(raw[len(magic):])
+	if hlen == 0 || hlen > maxLen {
+		return nil, fmt.Errorf("persist: implausible %s header length %d: corrupt %s", what, hlen, what)
+	}
+	raw, err := readN(r, raw, int64(hlen))
+	if err != nil {
+		return nil, fmt.Errorf("persist: read %s header: %w (truncated %s)", what, err, what)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(magic)+4:])).Decode(h); err != nil {
+		return nil, fmt.Errorf("persist: decode %s header: %w (corrupt %s)", what, err, what)
+	}
+	return raw, nil
+}
+
+// firstChunk is the most readN allocates ahead of the bytes it was told
+// to expect: an honest section up to this size reads in one allocation,
+// and a forged length field costs at most this much before the input
+// runs dry.
+const firstChunk = 1 << 20
+
+// readN appends exactly n bytes of r to buf. The buffer grows as the
+// bytes arrive — by up to firstChunk first, then by doubling — so what
+// it allocates is bounded by what r delivers, not by what n claims.
+func readN(r io.Reader, buf []byte, n int64) ([]byte, error) {
+	want := int64(len(buf)) + n
+	for int64(len(buf)) < want {
+		if len(buf) == cap(buf) {
+			next := make([]byte, len(buf), min(int64(len(buf)+max(len(buf), firstChunk)), want))
+			copy(next, buf)
+			buf = next
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(int64(cap(buf)), want)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Load reads one envelope and reconstructs the model it describes via
@@ -239,8 +298,8 @@ func LoadEnvelope(env *Envelope) (model.Classifier, error) {
 }
 
 // SniffEnvelope reports whether the next bytes of a buffered reader
-// start a checkpoint envelope (as opposed to, e.g., a legacy bare-gob
-// DMT document). It does not consume input.
+// start a checkpoint envelope (as opposed to, e.g., a delta envelope).
+// It does not consume input.
 func SniffEnvelope(br *bufio.Reader) bool {
 	peek, err := br.Peek(len(Magic))
 	return err == nil && string(peek) == Magic

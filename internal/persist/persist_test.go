@@ -152,8 +152,8 @@ func TestVersionSkewErrors(t *testing.T) {
 
 	older := rewriteHeader(t, raw, func(h *Header) { h.Version = 1 })
 	_, err = Load(bytes.NewReader(older))
-	if err == nil || !strings.Contains(err.Error(), "LoadDMT") {
-		t.Fatalf("legacy version error should point at LoadDMT: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "predates the envelope") || strings.Contains(err.Error(), "LoadDMT") {
+		t.Fatalf("legacy version error should say the format predates the envelope: %v", err)
 	}
 }
 

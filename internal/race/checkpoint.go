@@ -1,9 +1,7 @@
 package race
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -15,23 +13,12 @@ import (
 	"repro/internal/stream"
 )
 
-// Magic prefixes a racer checkpoint: a gob race header framed by a
-// big-endian length, followed by one persist envelope per arm in arm
-// order. The envelopes reuse the registry-wide checkpoint format, so a
-// racer checkpoint is a "RACE"-framed envelope sequence — exact-byte
-// framed and therefore stackable on a single stream like every other
-// checkpoint in the repository.
-const Magic = "RACE"
+// BundleKind names a racer checkpoint: a persist bundle whose meta is
+// the gob race header and whose members are the arm models in arm order.
+const BundleKind = "race"
 
 // formatVersion versions the race header layout.
 const formatVersion = 1
-
-// maxHeaderBytes bounds the declared header length so corrupt bytes
-// cannot demand an absurd allocation.
-const maxHeaderBytes = 1 << 24
-
-// maxCheckpointArms bounds the arm count a checkpoint may declare.
-const maxCheckpointArms = 1 << 10
 
 // armHeader is one arm's non-model state in the race header; the model
 // itself travels as a persist envelope after the header.
@@ -72,11 +59,11 @@ type raceHeader struct {
 	Arms          []armHeader
 }
 
-// Checkpoint writes the racer's full state: the "RACE" header followed
-// by one persist envelope per arm. The capture serialises against
-// Learn, so no checkpoint straddles a batch; a restored racer continues
-// byte-identically (the arm envelopes carry counted RNG state, the
-// header carries the exact window and detector contents).
+// Checkpoint writes the racer's full state as a persist bundle: the
+// race header as its meta, one envelope per arm. The capture serialises
+// against Learn, so no checkpoint straddles a batch; a restored racer
+// continues byte-identically (the arm envelopes carry counted RNG
+// state, the header carries the exact window and detector contents).
 func (r *Racer) Checkpoint(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -98,7 +85,7 @@ func (r *Racer) Checkpoint(w io.Writer) error {
 		Events:        append([]SwapEvent(nil), r.events...),
 		Arms:          make([]armHeader, len(r.arms)),
 	}
-	envelopes := make([]*bytes.Buffer, len(r.arms))
+	envelopes := make([][]byte, len(r.arms))
 	for i, a := range r.arms {
 		hdr.Arms[i] = armHeader{
 			Model:        a.name,
@@ -109,32 +96,17 @@ func (r *Racer) Checkpoint(w io.Writer) error {
 			LastVer:      a.lastVer,
 			HasVer:       a.hasVer,
 		}
-		envelopes[i] = &bytes.Buffer{}
-		if err := persist.Save(envelopes[i], a.clf); err != nil {
+		var env bytes.Buffer
+		if err := persist.Save(&env, a.clf); err != nil {
 			return fmt.Errorf("race: checkpoint arm %d (%s): %w", i, a.name, err)
 		}
+		envelopes[i] = env.Bytes()
 	}
-	var head bytes.Buffer
-	if err := gob.NewEncoder(&head).Encode(hdr); err != nil {
+	var meta bytes.Buffer
+	if err := gob.NewEncoder(&meta).Encode(hdr); err != nil {
 		return fmt.Errorf("race: encode header: %w", err)
 	}
-	if _, err := io.WriteString(w, Magic); err != nil {
-		return fmt.Errorf("race: write magic: %w", err)
-	}
-	var hlen [4]byte
-	binary.BigEndian.PutUint32(hlen[:], uint32(head.Len()))
-	if _, err := w.Write(hlen[:]); err != nil {
-		return fmt.Errorf("race: write header length: %w", err)
-	}
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("race: write header: %w", err)
-	}
-	for i, env := range envelopes {
-		if _, err := w.Write(env.Bytes()); err != nil {
-			return fmt.Errorf("race: write arm %d envelope: %w", i, err)
-		}
-	}
-	return nil
+	return persist.WriteBundle(w, BundleKind, meta.Bytes(), envelopes)
 }
 
 // Restore replaces the racer's state from a Checkpoint written by a
@@ -143,7 +115,11 @@ func (r *Racer) Checkpoint(w io.Writer) error {
 // truncated or corrupt stream leaves the racer serving its previous
 // state untouched.
 func (r *Racer) Restore(src io.Reader) error {
-	hdr, arms, err := read(src)
+	b, err := persist.ReadBundle(src)
+	if err != nil {
+		return fmt.Errorf("race: %w", err)
+	}
+	hdr, arms, err := decode(b)
 	if err != nil {
 		return err
 	}
@@ -168,10 +144,20 @@ func (r *Racer) Restore(src io.Reader) error {
 
 // FromCheckpoint reconstructs a racer purely from checkpoint bytes —
 // no Config needed; the header carries the knobs and the envelopes
-// carry the models. This is how the serving tier bootstraps a race
-// from a trainer's published envelope.
+// carry the models.
 func FromCheckpoint(src io.Reader) (*Racer, error) {
-	hdr, arms, err := read(src)
+	b, err := persist.ReadBundle(src)
+	if err != nil {
+		return nil, fmt.Errorf("race: %w", err)
+	}
+	return FromBundle(b)
+}
+
+// FromBundle is FromCheckpoint for a bundle already read off the wire:
+// the serving tier reads a trainer's published checkpoint once and
+// dispatches on the bundle's kind.
+func FromBundle(b *persist.Bundle) (*Racer, error) {
+	hdr, arms, err := decode(b)
 	if err != nil {
 		return nil, err
 	}
@@ -206,39 +192,22 @@ func joinNames(names []string) string {
 	return out
 }
 
-// read decodes and validates a full racer checkpoint without touching
-// any live racer: header, then one arm per header entry, each arm's
-// tracker and detector reconstructed and its envelope loaded.
-func read(src io.Reader) (*raceHeader, []*arm, error) {
-	br := bufio.NewReader(src)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("race: read magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, nil, fmt.Errorf("race: bad magic %q (not a racer checkpoint)", magic)
-	}
-	var hlen [4]byte
-	if _, err := io.ReadFull(br, hlen[:]); err != nil {
-		return nil, nil, fmt.Errorf("race: read header length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hlen[:])
-	if n == 0 || n > maxHeaderBytes {
-		return nil, nil, fmt.Errorf("race: implausible header length %d", n)
-	}
-	head := make([]byte, n)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, nil, fmt.Errorf("race: read header: %w", err)
+// decode validates a racer bundle, whose members persist has already
+// reconstructed, without touching any live racer: each arm's header
+// entry must name its model and rebuild its tracker and detector.
+func decode(b *persist.Bundle) (*raceHeader, []*arm, error) {
+	if b.Kind != BundleKind {
+		return nil, nil, fmt.Errorf("race: a %q bundle is not a racer checkpoint", b.Kind)
 	}
 	var hdr raceHeader
-	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&hdr); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b.Meta)).Decode(&hdr); err != nil {
 		return nil, nil, fmt.Errorf("race: decode header: %w", err)
 	}
 	if hdr.Version != formatVersion {
 		return nil, nil, fmt.Errorf("race: unsupported format version %d (want %d)", hdr.Version, formatVersion)
 	}
-	if len(hdr.Arms) < 2 || len(hdr.Arms) > maxCheckpointArms {
-		return nil, nil, fmt.Errorf("race: implausible arm count %d", len(hdr.Arms))
+	if len(hdr.Arms) < 2 || len(hdr.Arms) != len(b.Members) {
+		return nil, nil, fmt.Errorf("race: header lists %d arms for %d models", len(hdr.Arms), len(b.Members))
 	}
 	if err := hdr.Schema.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("race: checkpoint schema: %w", err)
@@ -248,9 +217,9 @@ func read(src io.Reader) (*raceHeader, []*arm, error) {
 	}
 	arms := make([]*arm, len(hdr.Arms))
 	for i, ah := range hdr.Arms {
-		clf, err := persist.Load(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("race: load arm %d (%s): %w", i, ah.Model, err)
+		clf := b.Members[i]
+		if clf.Name() != ah.Model {
+			return nil, nil, fmt.Errorf("race: arm %d holds %q, header says %q", i, clf.Name(), ah.Model)
 		}
 		tracker, err := stats.PreqFromState(ah.Tracker)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/persist"
 	"repro/internal/race"
 	"repro/internal/registry"
 	"repro/internal/stream"
@@ -451,5 +452,46 @@ func TestRestoreValidation(t *testing.T) {
 	// And a valid restore works.
 	if err := r.Restore(bytes.NewReader(ck.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointThenEnvelopeStack writes a racer checkpoint and a plain
+// envelope onto one stream: Restore must consume exactly the racer's
+// bytes, so the envelope stacked behind it still loads.
+func TestCheckpointThenEnvelopeStack(t *testing.T) {
+	schema := driftStream(t, "abrupt", 1000, 4).Schema()
+	r, err := race.New(race.Config{Schema: schema, Arms: raceArms(), Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := driftStream(t, "abrupt", 1000, 4)
+	for i := 0; i < 10; i++ {
+		b, err := stream.NextBatch(s, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Learn(b)
+	}
+	var stack bytes.Buffer
+	if err := r.Checkpoint(&stack); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := registry.New("Naive Bayes", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Save(&stack, nb); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(stack.Bytes())
+	if err := r.Restore(src); err != nil {
+		t.Fatal(err)
+	}
+	c, err := persist.Load(src)
+	if err != nil {
+		t.Fatalf("envelope stacked behind the racer checkpoint: %v", err)
+	}
+	if c.Name() != "Naive Bayes" || src.Len() != 0 {
+		t.Fatalf("loaded %q with %d bytes left", c.Name(), src.Len())
 	}
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/persist"
 	"repro/internal/registry"
 )
 
@@ -229,3 +231,50 @@ func benchmarkPublishPolicy(b *testing.B, onChange bool) {
 
 func BenchmarkPublishEveryOp(b *testing.B)    { benchmarkPublishPolicy(b, false) }
 func BenchmarkPublishOnChangeOp(b *testing.B) { benchmarkPublishPolicy(b, true) }
+
+// A sharded checkpoint and a plain envelope stacked on one stream:
+// Restore and FromCheckpoint must each consume exactly the sharded
+// bytes, so the envelope behind them still loads.
+func TestShardedCheckpointThenEnvelopeStack(t *testing.T) {
+	batches, schema := seaBatches(t, 20, 50, 17)
+	s, err := New(Config{Model: "DMT", Schema: schema, Mode: ModeSharded, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		s.Learn(b)
+	}
+	var stack bytes.Buffer
+	if err := s.Checkpoint(&stack); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := registry.New("Naive Bayes", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Save(&stack, nb); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func(io.Reader) error{
+		"Restore": s.Restore,
+		"FromCheckpoint": func(r io.Reader) error {
+			sc, err := FromCheckpoint(r, 1)
+			if err == nil && sc.(*ShardedScorer).NumShards() != 3 {
+				t.Fatalf("FromCheckpoint built %d shards", sc.(*ShardedScorer).NumShards())
+			}
+			return err
+		},
+	} {
+		src := bytes.NewReader(stack.Bytes())
+		if err := read(src); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c, err := persist.Load(src)
+		if err != nil {
+			t.Fatalf("%s: envelope stacked behind the sharded checkpoint: %v", name, err)
+		}
+		if c.Name() != "Naive Bayes" || src.Len() != 0 {
+			t.Fatalf("%s: loaded %q with %d bytes left", name, c.Name(), src.Len())
+		}
+	}
+}

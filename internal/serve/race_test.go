@@ -50,8 +50,8 @@ func TestServeRaceSpec(t *testing.T) {
 }
 
 // TestFromCheckpointRace round-trips a racer through the generic
-// scorer checkpoint bootstrap: the "RACE" magic dispatches to the race
-// loader and the restored scorer serves identically.
+// scorer checkpoint bootstrap: the "race" bundle kind dispatches to the
+// race loader and the restored scorer serves identically.
 func TestFromCheckpointRace(t *testing.T) {
 	s := raceSchemaStream(3_000, 9)
 	sc, err := serve.New(serve.Config{Model: "race:glm,nb", Schema: s.Schema()})

@@ -19,9 +19,7 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -76,9 +74,9 @@ type Scorer interface {
 	// for a ShardedScorer). Callers must not use it concurrently with
 	// the Scorer.
 	Unwrap() model.Classifier
-	// Checkpoint writes the scorer's full model state as persist
-	// envelope(s): one for the single-model scorers, a counted sequence
-	// of per-shard envelopes for the ShardedScorer. The capture is
+	// Checkpoint writes the scorer's full model state: one persist
+	// envelope for the single-model scorers, a persist bundle of
+	// per-shard envelopes for the ShardedScorer. The capture is
 	// consistent — it serialises against Learn, so no checkpoint ever
 	// straddles a batch.
 	Checkpoint(w io.Writer) error
@@ -279,7 +277,7 @@ func (s *LockScorer) Restore(r io.Reader) error {
 }
 
 // install swaps in an already-reconstructed model (the shared tail of
-// Restore, also used by the ShardedScorer's two-phase restore).
+// Restore, also used by the ShardedScorer's restore).
 func (s *LockScorer) install(c model.Classifier) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -346,9 +344,6 @@ type SnapshotScorer struct {
 	// (leaf drift between structural events is not visible either).
 	ckptRaw     []byte
 	ckptVersion uint64
-	// deltaBase is the previous CheckpointDelta capture, the base the
-	// next delta envelope is computed against.
-	deltaBase []byte
 }
 
 // NewSnapshot wraps a snapshot-capable classifier. publishEvery <= 1
@@ -482,35 +477,6 @@ func (s *SnapshotScorer) Checkpoint(w io.Writer) error {
 	return err
 }
 
-// CheckpointDelta writes the scorer's state as a delta envelope against
-// the previous CheckpointDelta (or Checkpoint-seeded) capture, falling
-// back to a full envelope on the first call or whenever no usable base
-// exists. It reports whether a full envelope was written. Applying the
-// emitted chain to the first full envelope reconstructs the current
-// checkpoint byte-identically (see persist.ApplyChain).
-func (s *SnapshotScorer) CheckpointDelta(w io.Writer) (full bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, err := s.checkpointRaw()
-	if err != nil {
-		return false, err
-	}
-	prev := s.deltaBase
-	s.deltaBase = raw
-	if prev == nil {
-		_, err = w.Write(raw)
-		return true, err
-	}
-	d, err := persist.MakeDelta(prev, raw)
-	if err != nil {
-		// The previous capture is unusable as a base (e.g. state was
-		// swapped underneath us): recover with a full envelope.
-		_, werr := w.Write(raw)
-		return true, werr
-	}
-	return false, persist.WriteDelta(w, d)
-}
-
 // Restore implements Scorer: the live model is replaced by the
 // checkpointed one and a fresh snapshot is published immediately, so
 // reads after Restore serve the restored state.
@@ -523,8 +489,7 @@ func (s *SnapshotScorer) Restore(r io.Reader) error {
 }
 
 // install swaps in an already-reconstructed model and republishes (the
-// shared tail of Restore, also used by the ShardedScorer's two-phase
-// restore).
+// shared tail of Restore, also used by the ShardedScorer's restore).
 func (s *SnapshotScorer) install(c model.Classifier) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -544,9 +509,9 @@ func (s *SnapshotScorer) install(c model.Classifier) error {
 	}
 	s.sv = sv
 	s.live, s.src = c, src
-	// The capture cache and delta base described the replaced state; the
-	// next Checkpoint re-encodes and the next CheckpointDelta is full.
-	s.ckptRaw, s.deltaBase = nil, nil
+	// The capture cache described the replaced state; the next
+	// Checkpoint re-encodes.
+	s.ckptRaw = nil
 	s.publish()
 	s.change.Fire()
 	return nil
@@ -639,18 +604,26 @@ type ShardedScorer struct {
 	// at a batch boundary (no shard mid-batch, no half-restored state).
 	// Reads stay lock-free: they go straight to the shard scorers.
 	mu     sync.Mutex
-	shards []Scorer
+	shards []shard
 	change model.Broadcast
 	// Learn-path partition scratch (single-writer, like Learn itself).
 	px [][][]float64
 	py [][]int
 }
 
-// NewSharded builds a ShardedScorer over the given replicas (at least
+// shard is one replica of a ShardedScorer: a single-model scorer of
+// this package, which can install a model the sharded restore has
+// already reconstructed and validated.
+type shard interface {
+	Scorer
+	install(c model.Classifier) error
+}
+
+// newSharded builds a ShardedScorer over the given replicas (at least
 // one). The replicas must be independent models of the same schema.
-func NewSharded(shards []Scorer) (*ShardedScorer, error) {
+func newSharded(shards []shard) (*ShardedScorer, error) {
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("serve: NewSharded needs at least one shard")
+		return nil, fmt.Errorf("serve: a sharded scorer needs at least one shard")
 	}
 	return &ShardedScorer{
 		shards: shards,
@@ -712,7 +685,7 @@ func (s *ShardedScorer) Learn(b stream.Batch) {
 			continue
 		}
 		wg.Add(1)
-		go func(sh Scorer, batch stream.Batch) {
+		go func(sh shard, batch stream.Batch) {
 			defer wg.Done()
 			sh.Learn(batch)
 		}(sh, stream.Batch{X: s.px[i], Y: s.py[i]})
@@ -797,102 +770,63 @@ func (s *ShardedScorer) Name() string { return s.shards[0].Name() }
 // Unwrap implements Scorer with the first replica's live classifier.
 func (s *ShardedScorer) Unwrap() model.Classifier { return s.shards[0].Unwrap() }
 
-// shardedMagic frames a sharded checkpoint: magic + big-endian shard
-// count, followed by one envelope per replica in shard order.
-const shardedMagic = "RSHD"
+// shardedKind names the persist bundle of a sharded checkpoint: one
+// member envelope per replica, in shard order, and no meta.
+const shardedKind = "sharded"
 
-// Checkpoint implements Scorer: a counted sequence of per-shard
-// envelopes. It serialises against Learn and Restore, so the per-shard
-// captures form one consistent cut of the ensemble of replicas at a
-// batch boundary even while a trainer goroutine keeps calling Learn.
+// Checkpoint implements Scorer: a bundle of per-shard envelopes. It
+// serialises against Learn and Restore, so the per-shard captures form
+// one consistent cut of the ensemble of replicas at a batch boundary
+// even while a trainer goroutine keeps calling Learn.
 func (s *ShardedScorer) Checkpoint(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := io.WriteString(w, shardedMagic); err != nil {
-		return fmt.Errorf("serve: write sharded checkpoint magic: %w", err)
-	}
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(s.shards)))
-	if _, err := w.Write(n[:]); err != nil {
-		return fmt.Errorf("serve: write shard count: %w", err)
-	}
+	envs := make([][]byte, len(s.shards))
 	for i, sh := range s.shards {
-		if err := sh.Checkpoint(w); err != nil {
+		var buf bytes.Buffer
+		if err := sh.Checkpoint(&buf); err != nil {
 			return fmt.Errorf("serve: checkpoint shard %d: %w", i, err)
 		}
+		envs[i] = buf.Bytes()
 	}
-	return nil
+	return persist.WriteBundle(w, shardedKind, nil, envs)
 }
 
 // Restore implements Scorer: the shard count must match the scorer's,
-// and each replica restores its own envelope in shard order (row→shard
+// and each replica installs its own envelope in shard order (row→shard
 // routing is deterministic, so state lands on the replica that will
-// keep serving it). The whole checkpoint is read and validated — every
-// envelope parsed, checksummed, reconstructed and name-checked —
-// before any shard is touched, so a truncated or corrupt checkpoint
-// never leaves the scorer serving a mix of restored and pre-restore
-// replicas. Restore serialises against Learn and Checkpoint.
+// keep serving it). The whole bundle is read, checksummed,
+// reconstructed and name-checked before any shard is touched, so a
+// truncated or corrupt checkpoint never leaves the scorer serving a mix
+// of restored and pre-restore replicas. Restore serialises against
+// Learn and Checkpoint.
 func (s *ShardedScorer) Restore(r io.Reader) error {
+	b, err := persist.ReadBundle(r)
+	if err != nil {
+		return fmt.Errorf("serve: sharded checkpoint: %w", err)
+	}
+	if b.Kind != shardedKind {
+		return fmt.Errorf("serve: a %q checkpoint does not restore into a sharded scorer", b.Kind)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return fmt.Errorf("serve: read sharded checkpoint header: %w", err)
+	if len(b.Members) != len(s.shards) {
+		return fmt.Errorf("serve: checkpoint holds %d shards, scorer has %d", len(b.Members), len(s.shards))
 	}
-	if string(head[:4]) != shardedMagic {
-		return fmt.Errorf("serve: not a sharded checkpoint (bad magic %q); single-model checkpoints restore through the shard scorers directly", head[:4])
-	}
-	n := binary.BigEndian.Uint32(head[4:])
-	if int(n) != len(s.shards) {
-		return fmt.Errorf("serve: checkpoint holds %d shards, scorer has %d", n, len(s.shards))
-	}
-	// Phase 1: read and fully validate every shard envelope,
-	// reconstructing the models but touching no shard yet. The built-in
-	// shard scorers expose install(), so each model is reconstructed
-	// exactly once; external Scorer implementations fall back to a
-	// buffered Restore of the already-validated bytes.
-	models := make([]model.Classifier, len(s.shards))
-	raw := make([][]byte, len(s.shards))
-	for i := range s.shards {
-		src := io.Reader(r)
-		var buf bytes.Buffer
-		if _, canInstall := s.shards[i].(modelInstaller); !canInstall {
-			src = io.TeeReader(r, &buf)
-		}
-		env, err := persist.ReadEnvelope(src)
-		if err != nil {
-			return fmt.Errorf("serve: shard %d envelope: %w", i, err)
-		}
-		c, err := persist.LoadEnvelope(env)
-		if err != nil {
-			return fmt.Errorf("serve: shard %d: %w", i, err)
-		}
+	for i, c := range b.Members {
 		if c.Name() != s.shards[i].Name() {
 			return fmt.Errorf("serve: shard %d checkpoint holds %q, scorer serves %q", i, c.Name(), s.shards[i].Name())
 		}
-		models[i], raw[i] = c, buf.Bytes()
 	}
-	// Phase 2: install into every shard. Even a partial install may have
-	// moved the version, so waiters are woken either way.
+	// Even a partial install may have moved the version, so waiters are
+	// woken either way.
 	defer s.change.Fire()
 	for i, sh := range s.shards {
-		var err error
-		if in, ok := sh.(modelInstaller); ok {
-			err = in.install(models[i])
-		} else {
-			err = sh.Restore(bytes.NewReader(raw[i]))
-		}
-		if err != nil {
+		if err := sh.install(b.Members[i]); err != nil {
 			return fmt.Errorf("serve: restore shard %d (scorer may be partially restored): %w", i, err)
 		}
 	}
 	return nil
-}
-
-// modelInstaller is the fast path of the sharded two-phase restore:
-// swapping in a model that phase 1 already reconstructed and validated.
-type modelInstaller interface {
-	install(c model.Classifier) error
 }
 
 // --- Registry-driven construction -----------------------------------
@@ -986,11 +920,11 @@ func New(cfg Config) (Scorer, error) {
 	build := func(extra ...registry.Option) (model.Classifier, error) {
 		return registry.New(cfg.Model, cfg.Schema, append(append([]registry.Option{}, cfg.Options...), extra...)...)
 	}
-	wrap := func(c model.Classifier) (Scorer, error) {
+	wrapOne := func(c model.Classifier) (shard, error) {
 		if cfg.PublishOnChange {
 			return NewSnapshotOnChange(c)
 		}
-		return Wrap(c, cfg.PublishEvery), nil
+		return wrap(c, cfg.PublishEvery), nil
 	}
 	switch mode {
 	case ModeLocked:
@@ -1004,7 +938,7 @@ func New(cfg Config) (Scorer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wrap(c)
+		return wrapOne(c)
 	case ModeSharded:
 		// Unset defaults to 2; an explicit count is honoured as given
 		// (1 is a valid single-replica deployment, not silently doubled).
@@ -1012,76 +946,71 @@ func New(cfg Config) (Scorer, error) {
 		if n <= 0 {
 			n = 2
 		}
-		shards := make([]Scorer, n)
-		for i := 0; i < n; i++ {
-			shard := i
+		shards := make([]shard, n)
+		for i := range shards {
 			c, err := build(func(p *registry.Params) {
 				// Decorrelate the replicas: each shard derives its seed
 				// from the configured one.
-				p.Seed = p.Seed*1_000_003 + int64(shard) + 1
+				p.Seed = p.Seed*1_000_003 + int64(i) + 1
 			})
 			if err != nil {
 				return nil, err
 			}
-			if shards[shard], err = wrap(c); err != nil {
+			if shards[i], err = wrapOne(c); err != nil {
 				return nil, err
 			}
 		}
-		return NewSharded(shards)
+		return newSharded(shards)
 	}
 	return nil, fmt.Errorf("serve: unknown mode %q", mode)
 }
 
 // Wrap wraps an existing classifier in the snapshot scorer when it can
 // snapshot, falling back to the lock-based scorer otherwise.
-func Wrap(c model.Classifier, publishEvery int) Scorer {
+func Wrap(c model.Classifier, publishEvery int) Scorer { return wrap(c, publishEvery) }
+
+func wrap(c model.Classifier, publishEvery int) shard {
 	if s, err := NewSnapshot(c, publishEvery); err == nil {
 		return s
 	}
 	return NewLocked(c)
 }
 
-// maxCheckpointShards bounds the shard count a checkpoint stream may
-// declare, so corrupt bytes cannot demand an absurd reconstruction.
-const maxCheckpointShards = 1 << 12
-
 // FromCheckpoint reconstructs a fresh serving scorer from checkpoint
-// bytes written by any Scorer.Checkpoint — a single model envelope or a
-// sharded per-replica sequence — without the caller naming a model or a
-// topology: both are read off the stream. This is how a stateless
-// serving replica bootstraps from a trainer's published envelope (see
-// the network serving tier) before it starts following version updates
-// via Restore. Each reconstructed model is wrapped in the snapshot
-// scorer with the given publish cadence (lock-based fallback for
-// models that cannot snapshot).
+// bytes written by any Scorer.Checkpoint — a single model envelope, or
+// a bundle of shards or racer arms — without the caller naming a model
+// or a topology: both are read off the stream, which is consumed
+// exactly. This is how a stateless serving replica bootstraps from a
+// trainer's published envelope (see the network serving tier) before it
+// starts following version updates via Restore. Each reconstructed
+// model is wrapped in the snapshot scorer with the given publish
+// cadence (lock-based fallback for models that cannot snapshot).
 func FromCheckpoint(r io.Reader, publishEvery int) (Scorer, error) {
-	br := bufio.NewReader(r)
-	if peek, err := br.Peek(len(race.Magic)); err == nil && string(peek) == race.Magic {
-		return race.FromCheckpoint(br)
+	var magic [len(persist.BundleMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, fmt.Errorf("serve: read checkpoint magic: %w", err)
 	}
-	peek, err := br.Peek(len(shardedMagic))
-	if err == nil && string(peek) == shardedMagic {
-		var head [8]byte
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			return nil, fmt.Errorf("serve: read sharded checkpoint header: %w", err)
+	r = io.MultiReader(bytes.NewReader(magic[:]), r)
+	if string(magic[:]) != persist.BundleMagic {
+		c, err := persist.Load(r)
+		if err != nil {
+			return nil, err
 		}
-		n := binary.BigEndian.Uint32(head[4:])
-		if n == 0 || n > maxCheckpointShards {
-			return nil, fmt.Errorf("serve: implausible shard count %d in checkpoint", n)
-		}
-		shards := make([]Scorer, n)
-		for i := range shards {
-			c, err := persist.Load(br)
-			if err != nil {
-				return nil, fmt.Errorf("serve: shard %d of %d: %w", i, n, err)
-			}
-			shards[i] = Wrap(c, publishEvery)
-		}
-		return NewSharded(shards)
+		return wrap(c, publishEvery), nil
 	}
-	c, err := persist.Load(br)
+	b, err := persist.ReadBundle(r)
 	if err != nil {
 		return nil, err
 	}
-	return Wrap(c, publishEvery), nil
+	switch b.Kind {
+	case race.BundleKind:
+		return race.FromBundle(b)
+	case shardedKind:
+		shards := make([]shard, len(b.Members))
+		for i, c := range b.Members {
+			shards[i] = wrap(c, publishEvery)
+		}
+		return newSharded(shards)
+	}
+	return nil, fmt.Errorf("serve: unknown checkpoint bundle kind %q", b.Kind)
 }

@@ -196,8 +196,8 @@ type Server struct {
 // envEntry is one capture in the bounded envelope history: its structure
 // version, its full wire bytes, and the wire bytes of the delta envelope
 // leading to it from the previous entry (nil when none could be
-// computed — the ring's first entry, or a scorer whose checkpoint is not
-// a single envelope, e.g. the sharded stream).
+// computed — the ring's first entry, or a scorer whose checkpoint is a
+// bundle rather than a single envelope: a sharded scorer or a racer).
 type envEntry struct {
 	ver   uint64
 	raw   []byte
@@ -565,11 +565,11 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 // --- hot swap and envelope publishing --------------------------------
 
-// handleSwap streams a persist envelope (or a sharded per-replica
-// sequence) from the request body into the live scorer. Restore
-// validates everything before any state is touched and installs with
-// the scorer's own consistency guarantees, so concurrent reads never
-// fail and never see a half-swapped model.
+// handleSwap streams a persist envelope (or, for a sharded scorer or a
+// racer, a persist bundle) from the request body into the live scorer.
+// Restore validates everything before any state is touched and installs
+// with the scorer's own consistency guarantees, so concurrent reads
+// never fail and never see a half-swapped model.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	// Drain around the install: readiness drops, so the registry stops
@@ -643,8 +643,8 @@ func (s *Server) pushHistory(v uint64, raw []byte) {
 			return
 		}
 		var dwire []byte
-		// A capture whose bytes are not one plain envelope (the sharded
-		// scorer stacks one per replica) fails MakeDelta; the entry then
+		// A capture that is a bundle rather than one plain envelope (a
+		// sharded scorer or a racer) fails MakeDelta; the entry then
 		// simply breaks the chain and ?since= falls back to full.
 		if d, err := persist.MakeDelta(s.envHist[n-1].raw, raw); err == nil {
 			var db bytes.Buffer

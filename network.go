@@ -192,8 +192,8 @@ func ParseFaults(spec string) ([]FaultRule, error) {
 
 // BootstrapScorer fetches the trainer's current envelope once and
 // builds a local Scorer from it — how a stateless replica starts with
-// no model of its own. Sharded checkpoints reconstruct a sharded
-// scorer; publishEvery sets the snapshot publish cadence of the
+// no model of its own. Sharded and racer checkpoints reconstruct a
+// sharded scorer or a racer; publishEvery sets the snapshot publish cadence of the
 // reconstructed scorer(s).
 func BootstrapScorer(ctx context.Context, trainerURL string, publishEvery int) (Scorer, uint64, error) {
 	return server.Bootstrap(ctx, nil, trainerURL, publishEvery)
@@ -216,8 +216,7 @@ func BootstrapScorerRaw(ctx context.Context, client *http.Client, trainerURL str
 
 // ScorerFromCheckpoint reconstructs a Scorer from checkpoint bytes
 // written by any Scorer's Checkpoint — the single envelope of a locked
-// or snapshot scorer, or the counted per-shard sequence of a sharded
-// one.
+// or snapshot scorer, or the bundle of a sharded scorer or a racer.
 func ScorerFromCheckpoint(r io.Reader, publishEvery int) (Scorer, error) {
 	return serve.FromCheckpoint(r, publishEvery)
 }

@@ -18,7 +18,7 @@ import (
 // model up front.
 //
 // The Racer is a full serving Scorer: it slots unchanged into
-// Prequential, Save/Load (a "RACE"-framed envelope sequence), the HTTP
+// Prequential, Save/Load (a persist bundle of arm envelopes), the HTTP
 // serving tier (dmtserve -model 'race:dmt,vfdt,arf'; /statusz shows the
 // per-arm scoreboard) and checkpoint-resume.
 type (
@@ -117,8 +117,8 @@ func Race(schema Schema, arms []RaceArm, opts ...RaceOption) (*Racer, error) {
 }
 
 // LoadRace reconstructs a racer from checkpoint bytes written by
-// (*Racer).Checkpoint — no configuration needed, the "RACE" header
-// carries it.
+// (*Racer).Checkpoint — no configuration needed, the bundle's race
+// header carries it.
 func LoadRace(r io.Reader) (*Racer, error) { return race.FromCheckpoint(r) }
 
 // RaceModels reports the registered names plus the racing aliases a

@@ -100,15 +100,6 @@ type (
 // NewDMT returns a Dynamic Model Tree for the schema.
 func NewDMT(cfg DMTConfig, schema Schema) *DMT { return core.New(cfg, schema) }
 
-// LoadDMT restores a Dynamic Model Tree from either checkpoint format:
-// an envelope written by Save / (*DMT).Save, or a legacy pre-envelope
-// version-1 gob document.
-//
-// Deprecated: LoadDMT is a shim over the unified persistence API; new
-// code should use Load, which restores any registered model. LoadDMT
-// remains the only entry point for legacy v1 gob checkpoints.
-func LoadDMT(r io.Reader) (*DMT, error) { return core.Load(r) }
-
 // Baselines of the paper's comparison (Section VI-C).
 type (
 	// VFDT is the Hoeffding tree baseline; LeafMode selects MC/NB/NBA.

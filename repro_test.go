@@ -116,10 +116,10 @@ func TestFacadeSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := dmt.Save(&buf); err != nil {
+	if err := Save(&buf, dmt); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDMT(&buf)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
