@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: vet + build + tests + a short
 # race pass over the concurrency-sensitive paths (Scorer, Runner,
-# registry) + a short fuzz pass + the benchmark module's unit tests +
-# the three dmtserve smokes.
+# registry) + the GOMAXPROCS=1 inline pass + a short fuzz pass + the
+# benchmark module's unit tests + the three dmtserve smokes.
 #
 # `make bench` runs the Benchmark*Op hot-path micro-benchmarks with
 # -benchmem and writes BENCH_PR10.json (ns/op, B/op, allocs/op and
@@ -39,7 +39,8 @@
 # `make inline` re-runs the pool-vs-inline identity tests and the
 # zero-alloc tests of the split scans and the worker pool under
 # GOMAXPROCS=1, where the pool has no helpers and every fan-out runs
-# inline on the caller.
+# inline on the caller, and checks the golden digests there too: the
+# inline path must reproduce the digests the pooled path committed.
 
 GO ?= go
 BENCH_TXT ?= /tmp/repro_bench_current.txt
@@ -70,6 +71,7 @@ race:
 inline:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'Inline|EveryFeature|NormsCache|ZeroAllocs|Once|Completes' \
 		./internal/core ./internal/hoeffding ./internal/pool
+	GOMAXPROCS=1 $(GO) test -count=1 -run Golden .
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/server

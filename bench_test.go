@@ -1,7 +1,8 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md §5, experiments E1-E9). The expensive prequential suite runs
+// One benchmark per table and figure of the paper's evaluation (Tables
+// I–VI, Figures 3–4; the surrogate streams are described in the package
+// doc of internal/datasets). The expensive prequential suite runs
 // once (shared across table benchmarks, outside the timed region at the
 // paper's 0.1% batch fraction) on streams scaled by REPRO_BENCH_SCALE
 // (default 0.002, i.e. every stream floored to ~2000 instances); each

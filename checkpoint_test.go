@@ -164,7 +164,7 @@ func TestLoadRejectsDamagedEnvelopes(t *testing.T) {
 }
 
 // TestScorerCheckpointRestore verifies the serving layer round trip for
-// all three scorer implementations: a restored scorer serves and keeps
+// both scorer implementations: a restored scorer serves and keeps
 // learning byte-identically to the one that was checkpointed.
 func TestScorerCheckpointRestore(t *testing.T) {
 	gen := NewSEA(200_000, 0.1, 42)
@@ -172,18 +172,15 @@ func TestScorerCheckpointRestore(t *testing.T) {
 	batches := collectBatches(t, gen, 30, 64)
 	cases := []struct {
 		name string
-		opts []ServeOption
+		mk   func() Scorer
 	}{
-		{"snapshot", nil},
-		{"locked", []ServeOption{WithLockedServing()}},
-		{"sharded", []ServeOption{WithShards(3)}},
+		{"snapshot", func() Scorer { return MustServe("DMT", schema, WithServeModelOptions(WithSeed(5))) }},
+		{"locked", func() Scorer { return NewScorer(MustNew("DMT", schema, WithSeed(5))) }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func() Scorer {
-				return MustServe("DMT", schema, append([]ServeOption{WithServeModelOptions(WithSeed(5))}, tc.opts...)...)
-			}
+			mk := tc.mk
 			orig := mk()
 			for i := 0; i < 15; i++ {
 				orig.Learn(batches[i])

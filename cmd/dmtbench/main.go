@@ -1,6 +1,9 @@
 // Command dmtbench regenerates the paper's evaluation: Tables I-VI and
 // Figures 3-4 of "Dynamic Model Tree for Interpretable Data Stream
-// Learning" (ICDE 2022), plus the ablation study described in DESIGN.md.
+// Learning" (ICDE 2022), plus the DMT ablation study (-ablation; the
+// variants are listed in internal/eval/ablation.go). Streams marked "*"
+// are surrogates for real-world data sets; the package doc of
+// internal/datasets says what each imitates and why.
 // Ctrl-C cancels the remaining runs.
 //
 // Usage:
@@ -43,8 +46,7 @@ func main() {
 		catFlag   = flag.Bool("categorical", false, "also run the categorical payoff scenario (native vs factorised splits)")
 		raceFlag  = flag.Bool("race", false, "also run the model-racing scenario (fixed arms vs the racer across drift kinds, with leader timelines)")
 		parallel  = flag.Int("parallel", 1, fmt.Sprintf("concurrent experiment cells (this machine: up to %d); timing in Table V is only meaningful at 1", runtime.GOMAXPROCS(0)))
-		scorer    = flag.String("scorer", "", "evaluate through the serving layer: locked, snapshot or sharded (empty = bare classifiers; snapshot is result-identical to bare, sharded is a different algorithm)")
-		shards    = flag.Int("shards", 2, "replica count for -scorer sharded")
+		serveFlag = flag.Bool("serve", false, "evaluate every cell through the serving layer's snapshot scorer instead of the bare classifier (result-identical)")
 		ckptDir   = flag.String("checkpoint", "", "directory persisting every finished cell's result (atomic per-cell files); with -resume an interrupted grid restarts without redoing completed cells")
 		resume    = flag.Bool("resume", false, "skip cells already completed in the -checkpoint directory (results are byte-identical to an uninterrupted run)")
 		quiet     = flag.Bool("quiet", false, "suppress per-run progress lines")
@@ -71,8 +73,7 @@ func main() {
 		Datasets:      splitList(*dsFlag),
 		Models:        splitList(*modelFlag),
 		Parallel:      *parallel,
-		ScorerMode:    *scorer,
-		Shards:        *shards,
+		Serve:         *serveFlag,
 		CheckpointDir: *ckptDir,
 		Resume:        *resume,
 	}
@@ -80,11 +81,7 @@ func main() {
 		suite.Progress = os.Stderr
 	}
 
-	mode := *scorer
-	if mode == "" {
-		mode = "none"
-	}
-	fmt.Printf("dmtbench: scale=%.3g seed=%d batch=%.4g parallel=%d scorer=%s\n\n", *scale, *seed, *batch, *parallel, mode)
+	fmt.Printf("dmtbench: scale=%.3g seed=%d batch=%.4g parallel=%d serve=%t\n\n", *scale, *seed, *batch, *parallel, *serveFlag)
 	res, err := suite.RunContext(ctx)
 	switch {
 	case errors.Is(err, context.Canceled) && res != nil:

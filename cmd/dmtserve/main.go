@@ -78,7 +78,6 @@ func main() {
 		scale     = flag.Float64("scale", 0.05, "fraction of the Table I stream length")
 		seed      = flag.Int64("seed", 42, "random seed")
 		batch     = flag.Int("batch", 100, "training batch size in rows")
-		shards    = flag.Int("shards", 0, "serve through N sharded replicas (0 = single snapshot scorer)")
 		publish   = flag.Int("publish", 1, "snapshot publish cadence in batches")
 		ckptPath  = flag.String("checkpoint", "", "bootstrap the model from this checkpoint file instead of training fresh")
 		follow    = flag.String("follow", "", "replica mode: bootstrap from and follow this trainer URL")
@@ -152,13 +151,13 @@ func main() {
 		})
 		return
 	}
-	runTrainer(ctx, *addr, *modelName, *dsName, *ckptPath, *scale, *seed, *batch, *shards, *publish, cfg, chaos)
+	runTrainer(ctx, *addr, *modelName, *dsName, *ckptPath, *scale, *seed, *batch, *publish, cfg, chaos)
 }
 
 // runTrainer serves while a training loop feeds the scorer; the stream
 // is replayed from the start whenever it runs dry, so the process keeps
 // learning (and keeps publishing envelopes) for as long as it lives.
-func runTrainer(ctx context.Context, addr, modelName, dsName, ckptPath string, scale float64, seed int64, batchSize, shards, publish int, cfg repro.ServerConfig, chaos *repro.FaultInjector) {
+func runTrainer(ctx context.Context, addr, modelName, dsName, ckptPath string, scale float64, seed int64, batchSize, publish int, cfg repro.ServerConfig, chaos *repro.FaultInjector) {
 	entry, err := repro.DatasetByName(dsName)
 	if err != nil {
 		fail(err)
@@ -178,14 +177,9 @@ func runTrainer(ctx context.Context, addr, modelName, dsName, ckptPath string, s
 		}
 		fmt.Fprintf(os.Stderr, "dmtserve: resumed %s from %s\n", scorer.Name(), ckptPath)
 	} else {
-		opts := []repro.ServeOption{
+		scorer, err = repro.Serve(modelName, strm.Schema(),
 			repro.WithPublishEvery(publish),
-			repro.WithServeModelOptions(repro.WithSeed(seed)),
-		}
-		if shards > 0 {
-			opts = append(opts, repro.WithShards(shards))
-		}
-		scorer, err = repro.Serve(modelName, strm.Schema(), opts...)
+			repro.WithServeModelOptions(repro.WithSeed(seed)))
 		if err != nil {
 			// The registry error already lists the registered names; add
 			// the lineup grammar so a near-miss like -model race finds it.

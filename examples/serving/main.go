@@ -4,8 +4,8 @@
 // APIs) is wait-free and never stalls behind training — the deployment
 // mode the paper targets, an interpretable model that keeps learning
 // while it serves. The program trains a DMT on a drifting SEA stream
-// while reader goroutines hammer the scorer, then contrasts a
-// hash-sharded deployment.
+// while reader goroutines hammer the scorer, then serves
+// a model over HTTP from a trainer to a following replica.
 package main
 
 import (
@@ -82,23 +82,6 @@ func main() {
 		trained, served.Load())
 	fmt.Printf("deployed snapshot: %d inner nodes, %d leaves, depth %d\n",
 		comp.Inner, comp.Leaves, comp.Depth)
-
-	// Sharded serving: rows hash across independent replicas, so both
-	// learning and serving scale across cores (each replica sees 1/N of
-	// the stream — a throughput/accuracy trade-off).
-	sharded := repro.MustServe("DMT", gen.Schema(),
-		repro.WithServeModelOptions(repro.WithSeed(42)),
-		repro.WithShards(4))
-	gen2 := repro.NewSEA(60_000, 0.1, 43)
-	for {
-		batch, err := nextBatch(gen2, 100)
-		if err != nil {
-			break
-		}
-		sharded.Learn(batch)
-	}
-	fmt.Printf("sharded deployment: %d total leaves across 4 replicas\n",
-		sharded.Complexity().Leaves)
 
 	networkDemo()
 }

@@ -1,10 +1,46 @@
 // Package datasets is the Table I registry: the 13 streams of the paper's
 // evaluation with their dimensions, majority-class shares and drift
-// profiles, factory functions producing the streams (faithful synthetic
-// generators for SEA/Agrawal/Hyperplane; Gaussian-cluster surrogates for
-// the real-world sets, see DESIGN.md §4), and the paper's reported Table
-// II–IV values so the experiment harness can print paper-vs-measured
-// comparisons.
+// profiles, factory functions producing the streams, and the paper's
+// reported Table II–IV values so the experiment harness can print
+// paper-vs-measured comparisons.
+//
+// # Faithful generators and surrogates
+//
+// SEA, Agrawal and Hyperplane are synthetic in the paper too, and package
+// synth re-implements their generators with the paper's drift schedules
+// and 10% perturbation: these three streams are the ones whose numbers
+// are comparable with the paper's.
+//
+// The ten real-world sets (Electricity, Airlines, Bank, TueEyeQ, Poker,
+// KDD, Covertype, Gas, Insects-Abr. and Insects-Inc.) are not in the
+// repository. They are third-party downloads with their own licences,
+// several run to hundreds of thousands of rows, and the module fetches
+// nothing at build or run time, so every run is reproducible offline
+// from a seed. Each is replaced by a surrogate, marked with a "*" in every
+// report (Entry.DisplayName), built from synth.Cluster: Gaussian class
+// clusters in [0,1]^m with label noise. A surrogate imitates its data
+// set's Table I shape — sample count, feature count, class count and
+// majority-class share — and its drift profile (Entry.DriftNote):
+//
+//   - Electricity*: random-walk drift of the cluster means, like the
+//     autocorrelated price levels of the NSW market;
+//   - Airlines*: slow incremental drift over a long, noisy stream;
+//   - Bank*: no drift and a strong class imbalance (88% majority);
+//   - TueEyeQ*: abrupt drifts at the borders of four task blocks;
+//   - Poker*: no drift, nine classes and heavy label noise, a concept
+//     hard for every model;
+//   - KDD*: no drift, 23 classes and near-perfect separability;
+//   - Covertype*: no drift, seven moderately separable classes;
+//   - Gas*: 128 features, six classes and a slow random walk, like
+//     sensor drift;
+//   - Insects-Abr.* and Insects-Inc.*: six classes with abrupt or
+//     incremental drift, like the controlled temperature and humidity
+//     changes of the insect recordings.
+//
+// A surrogate does not reproduce the real features or concept, so its
+// F1, split and parameter counts are not comparable with the paper's
+// Table II–IV cells; it exercises the learners on a stream of the same
+// shape.
 package datasets
 
 import (

@@ -88,8 +88,8 @@ func TestScaledFloor(t *testing.T) {
 	}
 }
 
-// The paper-reference maps must cover every reported model so
-// EXPERIMENTS.md comparisons are complete.
+// The paper-reference maps must cover every reported model so the
+// printed paper-vs-measured comparisons are complete.
 func TestPaperReferencesComplete(t *testing.T) {
 	f1Models := []string{DMT, FIMTDD, VFDTMC, VFDTNBA, HTAda, EFDT, Forest, Bagging}
 	treeModels := []string{DMT, FIMTDD, VFDTMC, VFDTNBA, HTAda, EFDT}

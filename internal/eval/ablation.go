@@ -12,8 +12,8 @@ import (
 	"repro/internal/synth"
 )
 
-// ablationVariant is one DMT configuration of the ablation study (E9 in
-// DESIGN.md): each variant disables or re-tunes one design choice the
+// ablationVariant is one DMT configuration of the ablation study (see
+// RunAblation and dmtbench -ablation): each variant disables or re-tunes one design choice the
 // paper motivates.
 type ablationVariant struct {
 	name  string

@@ -61,15 +61,11 @@ type Runner struct {
 	BatchFraction float64
 	// MinBatchSize floors the batch size (default 32 on scaled streams).
 	MinBatchSize int
-	// ScorerMode, when non-empty, evaluates every cell through the
-	// serving layer instead of the bare classifier: "locked" (RWMutex),
-	// "snapshot" (lock-free atomic snapshots; per-batch publish keeps the
-	// results byte-identical to the bare model) or "sharded" (rows hash
-	// across Shards independent replicas — a different algorithm, so
-	// results differ by design).
-	ScorerMode string
-	// Shards is the replica count of the "sharded" mode (default 2).
-	Shards int
+	// Serve evaluates every cell through serve.New — the snapshot scorer
+	// repro.Serve and dmtserve use — instead of the bare classifier.
+	// Per-batch publish keeps the results byte-identical to the bare
+	// model.
+	Serve bool
 	// CheckpointDir, when non-empty, persists every finished cell's
 	// Result to one file per cell in that directory (written atomically:
 	// temp file + rename, so a kill mid-write never leaves a corrupt
@@ -78,7 +74,7 @@ type Runner struct {
 	CheckpointDir string
 	// Resume loads matching cell files from CheckpointDir instead of
 	// re-running those cells. Cells are deterministic in (dataset,
-	// model, seed, scale, batching, scorer mode), so a resumed grid is
+	// model, seed, scale, batching, serving), so a resumed grid is
 	// byte-identical to an uninterrupted run of the same configuration
 	// — loaded cells verbatim (including their recorded timings), re-run
 	// cells by determinism. Files whose configuration does not match are
@@ -150,14 +146,6 @@ func (r Runner) Run(ctx context.Context, cells []Cell) (*SuiteResult, error) {
 		})
 	}
 
-	var scorerMode serve.Mode
-	if r.ScorerMode != "" {
-		var err error
-		if scorerMode, err = serve.ParseMode(r.ScorerMode); err != nil {
-			return nil, err
-		}
-	}
-
 	if r.CheckpointDir != "" {
 		if err := os.MkdirAll(r.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("eval: create checkpoint dir: %w", err)
@@ -187,7 +175,7 @@ func (r Runner) Run(ctx context.Context, cells []Cell) (*SuiteResult, error) {
 		strm := c.Dataset.New(scale, c.Seed)
 		var clf model.Classifier
 		var err error
-		if scorerMode != "" {
+		if r.Serve {
 			// The registry-driven serving path: the same construction
 			// cmd/dmtbench and repro.Serve use, so the suite exercises
 			// the serving layer end to end.
@@ -195,8 +183,6 @@ func (r Runner) Run(ctx context.Context, cells []Cell) (*SuiteResult, error) {
 				Model:   c.Model,
 				Schema:  strm.Schema(),
 				Options: []registry.Option{registry.WithSeed(c.Seed)},
-				Mode:    scorerMode,
-				Shards:  r.Shards,
 			})
 		} else {
 			clf, err = NewClassifier(c.Model, strm.Schema(), c.Seed)
@@ -307,8 +293,12 @@ type cellConfig struct {
 	Scale         float64
 	BatchFraction float64
 	MinBatchSize  int
-	ScorerMode    string
-	Shards        int
+	// ScorerMode is "snapshot" for a Serve run and "" for a bare one.
+	// Cell file names do not encode it, and gob drops the fields the
+	// destination lacks, so it must stay: files from builds that also
+	// had "locked" and "sharded" modes (and a Shards count) then fail
+	// to match instead of resuming as bare results.
+	ScorerMode string
 }
 
 // cellCheckpoint is the persisted record of one finished cell: its full
@@ -320,11 +310,14 @@ type cellCheckpoint struct {
 }
 
 func (r Runner) cellConfig(c Cell, scale float64) cellConfig {
-	return cellConfig{
+	cfg := cellConfig{
 		Dataset: c.Dataset.Name, Model: c.Model, Seed: c.Seed,
 		Scale: scale, BatchFraction: r.BatchFraction, MinBatchSize: r.MinBatchSize,
-		ScorerMode: r.ScorerMode, Shards: r.Shards,
 	}
+	if r.Serve {
+		cfg.ScorerMode = "snapshot"
+	}
+	return cfg
 }
 
 // sanitizeComponent maps a dataset/model name onto a filesystem-safe

@@ -2,7 +2,9 @@ package eval
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/datasets"
@@ -124,42 +126,88 @@ func benchmarkRunner(b *testing.B, workers int) {
 func BenchmarkSuiteSequential(b *testing.B) { benchmarkRunner(b, 1) }
 func BenchmarkSuiteParallel(b *testing.B)   { benchmarkRunner(b, 0) } // GOMAXPROCS workers
 
-// Evaluating through the serving layer must not change the science:
-// "snapshot" (per-batch publish) and "locked" runs render byte-identical
-// metric tables to the bare-classifier run of the same cells, even
-// though the snapshot run scores every test batch through PredictBatch
-// against a published snapshot.
+// Evaluating through the serving layer must not change the science: a
+// Serve run (per-batch publish) renders byte-identical metric tables to
+// the bare-classifier run of the same cells, even though it scores
+// every test batch through PredictBatch against a published snapshot.
 func TestRunnerScorerModesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
 	}
-	run := func(mode string) *SuiteResult {
-		res, err := Runner{Scale: 0.002, ScorerMode: mode}.Run(context.Background(), runnerCells(t, 11))
+	run := func(serve bool) *SuiteResult {
+		res, err := Runner{Scale: 0.002, Serve: serve}.Run(context.Background(), runnerCells(t, 11))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	bare := run("")
-	for _, mode := range []string{"locked", "snapshot"} {
-		through := run(mode)
-		for name, render := range map[string]func(*SuiteResult) string{
-			"Table2": (*SuiteResult).Table2,
-			"Table3": (*SuiteResult).Table3,
-			"Table4": (*SuiteResult).Table4,
-		} {
-			if a, b := render(bare), render(through); a != b {
-				t.Fatalf("%s differs between bare and %s runs:\n%s\nvs\n%s", name, mode, a, b)
-			}
+	bare, through := run(false), run(true)
+	for name, render := range map[string]func(*SuiteResult) string{
+		"Table2": (*SuiteResult).Table2,
+		"Table3": (*SuiteResult).Table3,
+		"Table4": (*SuiteResult).Table4,
+	} {
+		if a, b := render(bare), render(through); a != b {
+			t.Fatalf("%s differs between bare and Serve runs:\n%s\nvs\n%s", name, a, b)
 		}
 	}
-	// Sharded is a different algorithm (replicas see 1/N of the rows);
-	// it must run cleanly but is allowed to differ.
-	if _, err := (Runner{Scale: 0.002, ScorerMode: "sharded", Shards: 2}).Run(context.Background(), runnerCells(t, 11)); err != nil {
-		t.Fatal(err)
+}
+
+// A cell file written by a build that still had the "locked" and
+// "sharded" scorer modes must not resume: file names do not encode the
+// mode and gob drops fields the destination lacks, so a sharded result
+// would otherwise load as a bare one. A legacy file of a bare or
+// snapshot run still resumes.
+func TestRunnerResumeRejectsRetiredScorerModes(t *testing.T) {
+	// legacyConfig is cellConfig as those builds wrote it.
+	type legacyConfig struct {
+		Dataset       string
+		Model         string
+		Seed          int64
+		Scale         float64
+		BatchFraction float64
+		MinBatchSize  int
+		ScorerMode    string
+		Shards        int
 	}
-	// Unknown modes fail fast.
-	if _, err := (Runner{Scale: 0.002, ScorerMode: "bogus"}).Run(context.Background(), runnerCells(t, 11)); err == nil {
-		t.Fatal("bogus scorer mode accepted")
+	type legacyCheckpoint struct {
+		Config legacyConfig
+		Result Result
+	}
+	cell := runnerCells(t, 5)[0]
+	planted := Result{Model: cell.Model, Dataset: cell.Dataset.Name, Iters: []IterStats{{F1: -1}}}
+	for _, tc := range []struct {
+		mode   string
+		serve  bool
+		resume bool
+	}{
+		{"sharded", false, false},
+		{"sharded", true, false},
+		{"locked", false, false},
+		{"locked", true, false},
+		{"", false, true},
+		{"snapshot", true, true},
+	} {
+		r := Runner{Scale: 0.002, Serve: tc.serve, CheckpointDir: t.TempDir(), Resume: true}
+		f, err := os.Create(r.cellFile(cell))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := legacyConfig{
+			Dataset: cell.Dataset.Name, Model: cell.Model, Seed: cell.Seed, Scale: 0.002,
+			ScorerMode: tc.mode, Shards: 2,
+		}
+		if err := gob.NewEncoder(f).Encode(legacyCheckpoint{Config: cfg, Result: planted}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		res, err := r.Run(context.Background(), []Cell{cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Results[cell.Dataset.Name][cell.Model]
+		if resumed := len(got.Iters) == 1 && got.Iters[0].F1 == -1; resumed != tc.resume {
+			t.Fatalf("legacy %q cell under Serve=%v: resumed = %v, want %v", tc.mode, tc.serve, resumed, tc.resume)
+		}
 	}
 }

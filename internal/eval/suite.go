@@ -33,12 +33,9 @@ type Suite struct {
 	// so results are identical to the sequential order — this implements
 	// the parallelisation the paper defers to future work (Section V-D).
 	Parallel int
-	// ScorerMode, when non-empty, evaluates every cell through the
-	// serving layer ("locked", "snapshot" or "sharded"; see
-	// Runner.ScorerMode).
-	ScorerMode string
-	// Shards is the replica count of the "sharded" scorer mode.
-	Shards int
+	// Serve evaluates every cell through the serving layer (see
+	// Runner.Serve).
+	Serve bool
 	// CheckpointDir persists every finished cell's result for resume
 	// (see Runner.CheckpointDir); Resume skips cells already completed
 	// there.
@@ -117,8 +114,7 @@ func (s Suite) RunContext(ctx context.Context) (*SuiteResult, error) {
 		Scale:         s.Scale,
 		BatchFraction: s.BatchFraction,
 		MinBatchSize:  s.MinBatchSize,
-		ScorerMode:    s.ScorerMode,
-		Shards:        s.Shards,
+		Serve:         s.Serve,
 		CheckpointDir: s.CheckpointDir,
 		Resume:        s.Resume,
 		Progress:      s.Progress,
@@ -188,7 +184,7 @@ func (r *SuiteResult) metricTable(title string, models []string,
 
 // Table1 renders the data set inventory of Table I.
 func (r *SuiteResult) Table1() string {
-	t := newTable("Table I: Data sets ('*' marks offline surrogates; see DESIGN.md §4)",
+	t := newTable("Table I: Data sets ('*' marks surrogates; see the internal/datasets package doc)",
 		"Name", "#Samples", "#Features", "#Classes", "#Majority", "Drift")
 	for _, e := range r.Entries {
 		maj := "-"

@@ -24,9 +24,11 @@ import (
 )
 
 // seedCheckpoints builds the fuzz seeds from the shapes the round-trip
-// tests write: one DMT envelope, a 3-shard DMT bundle and a 3-arm racer
-// bundle, each after a few SEA batches.
-func seedCheckpoints(tb testing.TB) (single, sharded, racer []byte) {
+// tests write: one DMT envelope, a bundle of three DMT envelopes and a
+// 3-arm racer bundle, each after a few SEA batches. The DMT bundle
+// carries the "sharded" kind earlier builds wrote: bundle framing does
+// not depend on the kind, and serve no longer restores it.
+func seedCheckpoints(tb testing.TB) (single, dmts, racer []byte) {
 	tb.Helper()
 	gen := synth.NewSEA(1_000, 0.1, 5)
 	var batches []stream.Batch
@@ -47,12 +49,19 @@ func seedCheckpoints(tb testing.TB) (single, sharded, racer []byte) {
 		}
 		return buf.Bytes()
 	}
-	dmt, err := registry.New("DMT", gen.Schema(), registry.WithSeed(5))
-	if err != nil {
-		tb.Fatal(err)
+	dmt := func(seed int64) serve.Scorer {
+		c, err := registry.New("DMT", gen.Schema(), registry.WithSeed(seed))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return serve.Wrap(c, 1)
 	}
-	shards, err := serve.New(serve.Config{Model: "DMT", Schema: gen.Schema(), Mode: serve.ModeSharded, Shards: 3})
-	if err != nil {
+	members := make([][]byte, 3)
+	for i := range members {
+		members[i] = capture(dmt(int64(i + 1)))
+	}
+	var bundle bytes.Buffer
+	if err := persist.WriteBundle(&bundle, "sharded", nil, members); err != nil {
 		tb.Fatal(err)
 	}
 	racing, err := race.New(race.Config{
@@ -63,7 +72,7 @@ func seedCheckpoints(tb testing.TB) (single, sharded, racer []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return capture(serve.Wrap(dmt, 1)), capture(shards), capture(racing)
+	return capture(dmt(5)), bundle.Bytes(), capture(racing)
 }
 
 // allocLimit bounds what reading n input bytes of framing may allocate:
@@ -131,8 +140,8 @@ func FuzzReadEnvelope(f *testing.F) {
 func FuzzReadBundle(f *testing.F) {
 	// The committed corpus under testdata/fuzz adds truncated and
 	// forged-length variants to these seeds.
-	single, sharded, racer := seedCheckpoints(f)
-	f.Add(sharded)
+	single, dmts, racer := seedCheckpoints(f)
+	f.Add(dmts)
 	f.Add(racer)
 	f.Add(single)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -182,12 +191,15 @@ func corpusSeed(t *testing.T, target, name string) []byte {
 }
 
 // The committed bundle seeds were written by another process: they must
-// restore here, so FuzzReadBundle's accept path starts from them, and
-// the envelope stacked behind a bundle must still load.
+// frame here, so FuzzReadBundle's accept path starts from them, and the
+// envelope stacked behind a bundle must still load. The racer seed must
+// restore; sharded_dmt_3 (and the bundle of bundle_then_envelope) hold
+// the "sharded" kind earlier builds wrote, which serve now rejects as an
+// unknown kind.
 func TestCorpusBundlesRestore(t *testing.T) {
 	for _, name := range []string{"sharded_dmt_3", "race_3", "bundle_then_envelope"} {
 		r := bytes.NewReader(corpusSeed(t, "FuzzReadBundle", name))
-		if _, err := serve.FromCheckpoint(r, 1); err != nil {
+		if _, err := persist.ReadBundle(r); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if name == "bundle_then_envelope" {
@@ -198,5 +210,12 @@ func TestCorpusBundlesRestore(t *testing.T) {
 		if r.Len() != 0 {
 			t.Fatalf("%s: %d bytes left unread", name, r.Len())
 		}
+	}
+	if _, err := serve.FromCheckpoint(bytes.NewReader(corpusSeed(t, "FuzzReadBundle", "race_3")), 1); err != nil {
+		t.Fatalf("race_3: %v", err)
+	}
+	_, err := serve.FromCheckpoint(bytes.NewReader(corpusSeed(t, "FuzzReadBundle", "sharded_dmt_3")), 1)
+	if err == nil || !strings.Contains(err.Error(), `unknown checkpoint bundle kind "sharded"`) {
+		t.Fatalf("sharded_dmt_3: FromCheckpoint returned %v, want an unknown-kind error", err)
 	}
 }

@@ -16,17 +16,19 @@
 //	payload [PayloadLen]byte  model-private (see model.Checkpointer)
 //
 // A composite checkpoint — several models that restore together, like
-// the sharded scorer's replicas or a racer's arms — is one bundle:
+// a racer's arms — is one bundle:
 //
 //	magic   [8]byte  "REPROBND"
 //	version, klen  uint32  big-endian, like every integer below
-//	kind    [klen]byte  the composite ("sharded", "race"), 1..64 bytes
+//	kind    [klen]byte  the composite ("race"), 1..64 bytes
 //	members, mlen  uint32  member count (1..4096), meta length
 //	meta    [mlen]byte  the composite's own state
 //	members × the envelope above
 //
 // The bundle header is not gob: gob's bytes depend on which types the
 // writing process encoded before.
+// Earlier builds also wrote "sharded" bundles of hash-sharded replicas:
+// they still frame, but no scorer restores them any more.
 //
 // Delta envelopes ("REPRODLT", see delta.go) patch one full envelope
 // into another.

@@ -89,7 +89,7 @@ func TestRoundTripExternalModel(t *testing.T) {
 }
 
 func TestStackedEnvelopesConsumeExactBytes(t *testing.T) {
-	// Two envelopes on one stream (the ShardedScorer layout) must load
+	// Two envelopes on one stream (the layout of a bundle's members) must load
 	// back to back with no over-read.
 	var buf bytes.Buffer
 	a := &fakeModel{schema: testSchema(), count: 1}

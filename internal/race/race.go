@@ -287,8 +287,11 @@ func New(cfg Config) (*Racer, error) {
 		}
 		idx := i
 		opts := append([]registry.Option{func(p *registry.Params) {
-			// Decorrelate the arms the same way the sharded scorer
-			// decorrelates replicas; the arm's own WithSeed overrides.
+			// Every arm gets its own seed, derived from the race seed,
+			// so same-family arms do not train as clones. The large
+			// multiplier keeps the arm seeds of different race seeds
+			// apart, and the +1 keeps arm 0 off the race seed itself.
+			// The arm's own WithSeed overrides.
 			p.Seed = cfg.Seed*1_000_003 + int64(idx) + 1
 		}}, spec.Options...)
 		clf, err := registry.New(canonical, cfg.Schema, opts...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/stream"
 	"repro/internal/synth"
 )
@@ -22,20 +23,30 @@ func isClosed(ch <-chan struct{}) bool {
 // StructureVersion, and Restore always closes it.
 func TestChangedContract(t *testing.T) {
 	schema := synth.NewSEA(100, 0.1, 1).Schema()
+	fromConfig := func(cfg Config) func() (Scorer, error) {
+		return func() (Scorer, error) {
+			cfg.Schema = schema
+			return New(cfg)
+		}
+	}
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		build func() (Scorer, error)
 	}{
-		{"locked", Config{Model: "VFDT (MC)", Mode: ModeLocked}},
-		{"snapshot-cadence", Config{Model: "VFDT (MC)", PublishEvery: 3}},
-		{"snapshot-on-change", Config{Model: "VFDT (MC)", PublishOnChange: true}},
-		{"sharded", Config{Model: "VFDT (MC)", Mode: ModeSharded, Shards: 2}},
-		{"racer", Config{Model: "race:vfdt,glm"}},
+		{"locked", func() (Scorer, error) {
+			c, err := registry.New("VFDT (MC)", schema)
+			if err != nil {
+				return nil, err
+			}
+			return NewLocked(c), nil
+		}},
+		{"snapshot-cadence", fromConfig(Config{Model: "VFDT (MC)", PublishEvery: 3})},
+		{"snapshot-on-change", fromConfig(Config{Model: "VFDT (MC)", PublishOnChange: true})},
+		{"racer", fromConfig(Config{Model: "race:vfdt,glm"})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Schema = schema
-			s, err := New(tc.cfg)
+			s, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,10 +19,9 @@ import (
 // structure version. A capture that straddles a Learn (torn leaf stats,
 // a half-applied split) would disagree with every reference, and `-race`
 // flags any unsynchronised state sharing along the way.
-func hammerCheckpointDuringLearn(t *testing.T, mode Mode) {
-	t.Helper()
+func TestCheckpointDuringLearnSnapshot(t *testing.T) {
 	schema := synth.NewSEA(100, 0.1, 1).Schema()
-	s, err := New(Config{Model: "VFDT (MC)", Schema: schema, Mode: mode, Shards: 2, PublishEvery: 1})
+	s, err := New(Config{Model: "VFDT (MC)", Schema: schema, PublishEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +71,8 @@ func hammerCheckpointDuringLearn(t *testing.T, mode Mode) {
 	// Hammer: capture concurrently with training until the trainer is
 	// done. No pacing — each capture is a full state serialisation, so
 	// the loop contends the Learn/Checkpoint mutex as hard as it can.
-	// maxCaptures bounds the validation cost (under -race the sharded
-	// hammer otherwise lands thousands of captures).
+	// maxCaptures bounds the validation cost (under -race the hammer can
+	// otherwise land thousands of captures).
 	const maxCaptures = 300
 	var captured [][]byte
 	for {
@@ -132,7 +131,7 @@ func hammerCheckpointDuringLearn(t *testing.T, mode Mode) {
 			t.Fatalf("capture %d (version %d) matches no quiesced boundary capture at that version: torn checkpoint", ci, v)
 		}
 	}
-	t.Logf("%s: %d concurrent captures, all consistent with batch-boundary state", mode, len(captured))
+	t.Logf("%d concurrent captures, all consistent with batch-boundary state", len(captured))
 }
 
 func equalPreds(a, b []int) bool {
@@ -145,12 +144,4 @@ func equalPreds(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func TestCheckpointDuringLearnSnapshot(t *testing.T) {
-	hammerCheckpointDuringLearn(t, ModeSnapshot)
-}
-
-func TestCheckpointDuringLearnSharded(t *testing.T) {
-	hammerCheckpointDuringLearn(t, ModeSharded)
 }

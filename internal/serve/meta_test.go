@@ -12,16 +12,8 @@ import (
 // SEA concept makes it split, so the structure version moves).
 func metaScorers(t *testing.T) map[string]Scorer {
 	t.Helper()
-	schema := synth.NewSEA(100, 0.1, 1).Schema()
-	out := map[string]Scorer{}
-	for _, mode := range []Mode{ModeLocked, ModeSnapshot, ModeSharded} {
-		s, err := New(Config{Model: "VFDT (MC)", Schema: schema, Mode: mode, Shards: 2})
-		if err != nil {
-			t.Fatalf("New(%s): %v", mode, err)
-		}
-		out[string(mode)] = s
-	}
-	return out
+	locked, snap := lockedAndSnapshot(t, "VFDT (MC)", synth.NewSEA(100, 0.1, 1).Schema(), 0)
+	return map[string]Scorer{"locked": locked, "snapshot": snap}
 }
 
 // trainSome feeds a few SEA batches through the scorer.
@@ -79,8 +71,6 @@ func TestScorerStructureVersion(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: VFDT scorer reports no structure version", mode)
 		}
-		// Enough rows that even the sharded replicas (each seeing 1/2 of
-		// the stream) accumulate past the grace period and split.
 		trainSome(t, s, 7, 240)
 		v1, ok := s.StructureVersion()
 		if !ok {
@@ -96,7 +86,7 @@ func TestScorerStructureVersion(t *testing.T) {
 }
 
 // Empty and nil batches short-circuit: an empty result, no lock
-// acquisition, no snapshot load, no per-shard dispatch — and a reused
+// acquisition, no snapshot load — and a reused
 // out buffer is truncated, not kept at its stale length.
 func TestBatchEmptyAndNil(t *testing.T) {
 	for mode, s := range metaScorers(t) {
@@ -117,7 +107,7 @@ func TestBatchEmptyAndNil(t *testing.T) {
 				t.Errorf("%s: ProbaBatch(%v, stale) has %d rows, want 0", mode, X, len(got))
 			}
 		}
-		// An empty Learn is a no-op, not a per-shard dispatch.
+		// An empty Learn is a no-op.
 		s.Learn(stream.Batch{})
 	}
 }

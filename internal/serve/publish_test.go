@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/persist"
 	"repro/internal/registry"
 )
 
@@ -124,80 +121,18 @@ func TestPublishOnChangeRequiresStructureVersion(t *testing.T) {
 	}
 }
 
-// TestRegistryDrivenPublishOnChange covers the serve.New path,
-// including per-shard on-change scorers.
+// TestRegistryDrivenPublishOnChange covers the serve.New path.
 func TestRegistryDrivenPublishOnChange(t *testing.T) {
 	batches, schema := seaBatches(t, 50, 50, 3)
-	for _, mode := range []Mode{ModeSnapshot, ModeSharded} {
-		s, err := New(Config{Model: "DMT", Schema: schema, Mode: mode, PublishOnChange: true, Shards: 2})
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		for _, b := range batches {
-			s.Learn(b)
-		}
+	s, err := New(Config{Model: "DMT", Schema: schema, PublishOnChange: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		s.Learn(b)
 	}
 	if _, err := New(Config{Model: "GLM", Schema: schema, PublishOnChange: true}); err == nil {
 		t.Fatal("registry-driven on-change accepted GLM")
-	}
-}
-
-// TestShardedRestoreIsAtomic: a corrupt checkpoint must leave a
-// ShardedScorer completely untouched — never serving a mix of restored
-// and pre-restore replicas.
-func TestShardedRestoreIsAtomic(t *testing.T) {
-	batches, schema := seaBatches(t, 30, 50, 21)
-	mk := func() Scorer {
-		s, err := New(Config{Model: "DMT", Schema: schema, Mode: ModeSharded, Shards: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	source := mk()
-	for _, b := range batches {
-		source.Learn(b)
-	}
-	var ckpt bytes.Buffer
-	if err := source.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-
-	// Target and reference scorers share a different training history.
-	target, reference := mk(), mk()
-	for _, b := range batches[:10] {
-		target.Learn(b)
-		reference.Learn(b)
-	}
-	// Truncate inside the LAST shard's envelope: with the old in-place
-	// restore, shards 0 and 1 would already be swapped when the error
-	// surfaces.
-	truncated := ckpt.Bytes()[:ckpt.Len()-20]
-	if err := target.Restore(bytes.NewReader(truncated)); err == nil {
-		t.Fatal("truncated sharded checkpoint accepted")
-	}
-	var pa, pb []int
-	for _, b := range batches {
-		pa = target.PredictBatch(b.X, pa)
-		pb = reference.PredictBatch(b.X, pb)
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatal("failed Restore mutated shard state")
-			}
-		}
-	}
-	// And the intact checkpoint still restores fully.
-	if err := target.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		pa = target.PredictBatch(b.X, pa)
-		pb = source.PredictBatch(b.X, pb)
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatal("restored sharded scorer diverged from checkpoint source")
-			}
-		}
 	}
 }
 
@@ -231,50 +166,3 @@ func benchmarkPublishPolicy(b *testing.B, onChange bool) {
 
 func BenchmarkPublishEveryOp(b *testing.B)    { benchmarkPublishPolicy(b, false) }
 func BenchmarkPublishOnChangeOp(b *testing.B) { benchmarkPublishPolicy(b, true) }
-
-// A sharded checkpoint and a plain envelope stacked on one stream:
-// Restore and FromCheckpoint must each consume exactly the sharded
-// bytes, so the envelope behind them still loads.
-func TestShardedCheckpointThenEnvelopeStack(t *testing.T) {
-	batches, schema := seaBatches(t, 20, 50, 17)
-	s, err := New(Config{Model: "DMT", Schema: schema, Mode: ModeSharded, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		s.Learn(b)
-	}
-	var stack bytes.Buffer
-	if err := s.Checkpoint(&stack); err != nil {
-		t.Fatal(err)
-	}
-	nb, err := registry.New("Naive Bayes", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.Save(&stack, nb); err != nil {
-		t.Fatal(err)
-	}
-	for name, read := range map[string]func(io.Reader) error{
-		"Restore": s.Restore,
-		"FromCheckpoint": func(r io.Reader) error {
-			sc, err := FromCheckpoint(r, 1)
-			if err == nil && sc.(*ShardedScorer).NumShards() != 3 {
-				t.Fatalf("FromCheckpoint built %d shards", sc.(*ShardedScorer).NumShards())
-			}
-			return err
-		},
-	} {
-		src := bytes.NewReader(stack.Bytes())
-		if err := read(src); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		c, err := persist.Load(src)
-		if err != nil {
-			t.Fatalf("%s: envelope stacked behind the sharded checkpoint: %v", name, err)
-		}
-		if c.Name() != "Naive Bayes" || src.Len() != 0 {
-			t.Fatalf("%s: loaded %q with %d bytes left", name, c.Name(), src.Len())
-		}
-	}
-}

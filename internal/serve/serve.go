@@ -1,28 +1,27 @@
 // Package serve is the concurrent model-serving layer behind the public
-// repro.Serve / repro.NewScorer API: three interchangeable Scorer
-// implementations that let prediction traffic read a model while a
-// learning loop keeps training it on the live stream — the deployment
-// mode the paper targets (an interpretable model that never stops
-// learning while it serves).
+// repro.Serve / repro.NewScorer API: a Scorer lets prediction traffic
+// read one model while a learning loop keeps training it on the live
+// stream — the deployment mode the paper targets (an interpretable model
+// that never stops learning while it serves).
 //
-//   - LockScorer guards one classifier with a sync.RWMutex: simple,
-//     always applicable, but every read waits while Learn holds the
-//     write lock.
-//   - SnapshotScorer publishes an immutable serving snapshot through an
-//     atomic pointer after Learn (clone-on-publish, with a configurable
-//     cadence): Predict/Proba/Complexity are wait-free and never blocked
-//     by training, at the cost of a bounded staleness window (at most
-//     PublishEvery batches) and a clone per publish.
-//   - ShardedScorer hashes rows across N independent learner replicas:
-//     multi-core serving and training where no single model instance is
-//     a bottleneck, at the cost of each replica seeing 1/N of the data.
+// Every registered learner is served by the SnapshotScorer, which
+// publishes an immutable serving snapshot through an atomic pointer
+// after Learn (clone-on-publish, with a configurable cadence):
+// Predict/Proba/Complexity are wait-free and never blocked by training,
+// at the cost of a bounded staleness window (at most PublishEvery
+// batches) and a clone per publish. A "race:..." model spec is served by
+// the racer of package race instead.
+//
+// A classifier that cannot snapshot — only possible for an external
+// learner — falls back to an unexported scorer that guards it with a
+// sync.RWMutex (NewLocked): always applicable, but every read waits
+// while Learn holds the write lock.
 package serve
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -61,8 +60,8 @@ type Scorer interface {
 	Schema() stream.Schema
 	// StructureVersion reports the served model's structure version (see
 	// model.StructureVersioner) and whether the model tracks one. The
-	// ShardedScorer sums its replicas; the SnapshotScorer reports the
-	// version of the published snapshot (what readers actually serve).
+	// SnapshotScorer reports the version of the published snapshot (what
+	// readers actually serve).
 	StructureVersion() (uint64, bool)
 	// Changed returns a channel that is closed once StructureVersion
 	// moves after the call (and on Restore). Take it before reading the
@@ -70,20 +69,17 @@ type Scorer interface {
 	// this is what lets the network tier park a long poll until the
 	// next publish instead of polling for it.
 	Changed() <-chan struct{}
-	// Unwrap returns the live underlying classifier (the first replica
-	// for a ShardedScorer). Callers must not use it concurrently with
-	// the Scorer.
+	// Unwrap returns the live underlying classifier. Callers must not
+	// use it concurrently with the Scorer.
 	Unwrap() model.Classifier
 	// Checkpoint writes the scorer's full model state: one persist
-	// envelope for the single-model scorers, a persist bundle of
-	// per-shard envelopes for the ShardedScorer. The capture is
-	// consistent — it serialises against Learn, so no checkpoint ever
-	// straddles a batch.
+	// envelope for a single-model scorer, a persist bundle of arm
+	// envelopes for a racer. The capture is consistent — it serialises
+	// against Learn, so no checkpoint ever straddles a batch.
 	Checkpoint(w io.Writer) error
 	// Restore replaces the scorer's model state from a Checkpoint
-	// written by an identically configured scorer (same model name;
-	// same shard count for the ShardedScorer). Reads served after
-	// Restore returns see the restored state.
+	// written by an identically configured scorer (same model name).
+	// Reads served after Restore returns see the restored state.
 	Restore(r io.Reader) error
 }
 
@@ -122,11 +118,13 @@ func growInts(out []int, n int) []int {
 
 // --- RWMutex scorer -------------------------------------------------
 
-// LockScorer makes a classifier safe for concurrent serving with a
+// lockScorer makes a classifier safe for concurrent serving with a
 // sync.RWMutex: reads take the read lock, Learn the write lock. The
 // wrapped classifier's read methods must be read-only, which holds for
-// every model in this repository.
-type LockScorer struct {
+// every model in this repository. It serves the classifiers that cannot
+// snapshot, and is the reference the snapshot scorer's reads are tested
+// against.
+type lockScorer struct {
 	mu     sync.RWMutex
 	inner  model.Classifier
 	pc     model.ProbabilisticClassifier // nil when inner is not probabilistic
@@ -135,15 +133,21 @@ type LockScorer struct {
 	change model.Broadcast
 }
 
-// NewLocked wraps a classifier in a LockScorer.
-func NewLocked(c model.Classifier) *LockScorer {
-	s := &LockScorer{inner: c}
+// NewLocked wraps a classifier in the RWMutex scorer.
+func NewLocked(c model.Classifier) Scorer {
+	s := &lockScorer{}
+	s.set(c)
+	return s
+}
+
+// set serves c, resolving its optional interfaces once.
+func (s *lockScorer) set(c model.Classifier) {
+	s.inner = c
 	s.pc, _ = c.(model.ProbabilisticClassifier)
 	s.sv, _ = c.(model.StructureVersioner)
 	if sp, ok := c.(schemaProvider); ok {
 		s.schema = sp.Schema()
 	}
-	return s
 }
 
 // schemaProvider is the schema accessor every registered learner exposes
@@ -153,11 +157,11 @@ type schemaProvider interface {
 }
 
 // Unwrap implements Scorer.
-func (s *LockScorer) Unwrap() model.Classifier { return s.inner }
+func (s *lockScorer) Unwrap() model.Classifier { return s.inner }
 
 // Learn implements model.Classifier under the write lock, firing
 // Changed when the batch moved the structure version.
-func (s *LockScorer) Learn(b stream.Batch) {
+func (s *lockScorer) Learn(b stream.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sv == nil {
@@ -172,7 +176,7 @@ func (s *LockScorer) Learn(b stream.Batch) {
 }
 
 // Predict implements model.Classifier under a read lock.
-func (s *LockScorer) Predict(x []float64) int {
+func (s *lockScorer) Predict(x []float64) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.inner.Predict(x)
@@ -180,7 +184,7 @@ func (s *LockScorer) Predict(x []float64) int {
 
 // Proba returns class probabilities under a read lock, with the OneHot
 // fallback for non-probabilistic models.
-func (s *LockScorer) Proba(x []float64, out []float64) []float64 {
+func (s *lockScorer) Proba(x []float64, out []float64) []float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.pc != nil {
@@ -191,14 +195,14 @@ func (s *LockScorer) Proba(x []float64, out []float64) []float64 {
 
 // Schema implements Scorer (the wrapped model's schema, zero when the
 // classifier exposes none).
-func (s *LockScorer) Schema() stream.Schema {
+func (s *lockScorer) Schema() stream.Schema {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.schema
 }
 
 // StructureVersion implements Scorer.
-func (s *LockScorer) StructureVersion() (uint64, bool) {
+func (s *lockScorer) StructureVersion() (uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.sv == nil {
@@ -208,12 +212,12 @@ func (s *LockScorer) StructureVersion() (uint64, bool) {
 }
 
 // Changed implements Scorer.
-func (s *LockScorer) Changed() <-chan struct{} { return s.change.Wait() }
+func (s *lockScorer) Changed() <-chan struct{} { return s.change.Wait() }
 
 // PredictBatch implements Scorer under one read lock for the whole
 // batch, so the rows are served from one consistent model state.
 // Empty (or nil) batches return an empty result without taking the lock.
-func (s *LockScorer) PredictBatch(X [][]float64, out []int) []int {
+func (s *lockScorer) PredictBatch(X [][]float64, out []int) []int {
 	if len(X) == 0 {
 		return growInts(out, 0)
 	}
@@ -227,7 +231,7 @@ func (s *LockScorer) PredictBatch(X [][]float64, out []int) []int {
 }
 
 // ProbaBatch implements Scorer under one read lock.
-func (s *LockScorer) ProbaBatch(X [][]float64, out [][]float64) [][]float64 {
+func (s *lockScorer) ProbaBatch(X [][]float64, out [][]float64) [][]float64 {
 	if len(X) == 0 {
 		return growRows(out, 0)
 	}
@@ -245,14 +249,14 @@ func (s *LockScorer) ProbaBatch(X [][]float64, out [][]float64) [][]float64 {
 }
 
 // Complexity implements model.Classifier under a read lock.
-func (s *LockScorer) Complexity() model.Complexity {
+func (s *lockScorer) Complexity() model.Complexity {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.inner.Complexity()
 }
 
 // Name implements model.Classifier.
-func (s *LockScorer) Name() string {
+func (s *lockScorer) Name() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.inner.Name()
@@ -260,7 +264,7 @@ func (s *LockScorer) Name() string {
 
 // Checkpoint implements Scorer: the wrapped model as one envelope,
 // captured under the write lock so it never straddles a Learn.
-func (s *LockScorer) Checkpoint(w io.Writer) error {
+func (s *lockScorer) Checkpoint(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return persist.Save(w, s.inner)
@@ -268,28 +272,17 @@ func (s *LockScorer) Checkpoint(w io.Writer) error {
 
 // Restore implements Scorer, swapping in the model reconstructed from
 // the envelope. The checkpointed model must match the served one.
-func (s *LockScorer) Restore(r io.Reader) error {
+func (s *lockScorer) Restore(r io.Reader) error {
 	c, err := persist.Load(r)
 	if err != nil {
 		return err
 	}
-	return s.install(c)
-}
-
-// install swaps in an already-reconstructed model (the shared tail of
-// Restore, also used by the ShardedScorer's restore).
-func (s *LockScorer) install(c model.Classifier) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.Name() != s.inner.Name() {
 		return fmt.Errorf("serve: restore %q into a scorer serving %q", c.Name(), s.inner.Name())
 	}
-	s.inner = c
-	s.pc, _ = c.(model.ProbabilisticClassifier)
-	s.sv, _ = c.(model.StructureVersioner)
-	if sp, ok := c.(schemaProvider); ok {
-		s.schema = sp.Schema()
-	}
+	s.set(c)
 	s.change.Fire()
 	return nil
 }
@@ -485,12 +478,6 @@ func (s *SnapshotScorer) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return s.install(c)
-}
-
-// install swaps in an already-reconstructed model and republishes (the
-// shared tail of Restore, also used by the ShardedScorer's restore).
-func (s *SnapshotScorer) install(c model.Classifier) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.Name() != s.live.Name() {
@@ -588,312 +575,37 @@ func (s *SnapshotScorer) Complexity() model.Complexity {
 // Name implements model.Classifier.
 func (s *SnapshotScorer) Name() string { return s.cur.Load().snap.Name() }
 
-// --- Sharded scorer -------------------------------------------------
-
-// ShardedScorer partitions work across N independent Scorer replicas by
-// hashing each row's feature values: Learn routes every row to its
-// shard, reads route the queried row the same way, so a row is always
-// served by the replica that trained on its hash bucket. Replicas are
-// fully independent (no shared state), which makes both training and
-// serving scale across cores — at the cost of each replica learning
-// from 1/N of the stream, so accuracy on small streams trails a single
-// model. Complexity sums the replicas.
-type ShardedScorer struct {
-	// mu serialises Learn, Checkpoint and Restore against each other, so
-	// a checkpoint taken under concurrent training is one consistent cut
-	// at a batch boundary (no shard mid-batch, no half-restored state).
-	// Reads stay lock-free: they go straight to the shard scorers.
-	mu     sync.Mutex
-	shards []shard
-	change model.Broadcast
-	// Learn-path partition scratch (single-writer, like Learn itself).
-	px [][][]float64
-	py [][]int
-}
-
-// shard is one replica of a ShardedScorer: a single-model scorer of
-// this package, which can install a model the sharded restore has
-// already reconstructed and validated.
-type shard interface {
-	Scorer
-	install(c model.Classifier) error
-}
-
-// newSharded builds a ShardedScorer over the given replicas (at least
-// one). The replicas must be independent models of the same schema.
-func newSharded(shards []shard) (*ShardedScorer, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("serve: a sharded scorer needs at least one shard")
-	}
-	return &ShardedScorer{
-		shards: shards,
-		px:     make([][][]float64, len(shards)),
-		py:     make([][]int, len(shards)),
-	}, nil
-}
-
-// NumShards returns the replica count.
-func (s *ShardedScorer) NumShards() int { return len(s.shards) }
-
-// Shard returns replica i.
-func (s *ShardedScorer) Shard(i int) Scorer { return s.shards[i] }
-
-// shardOf hashes the row's feature bits to a replica with FNV-1a, so
-// row→shard routing is deterministic across runs and processes.
-func (s *ShardedScorer) shardOf(x []float64) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range x {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= bits & 0xff
-			h *= prime64
-			bits >>= 8
-		}
-	}
-	return int(h % uint64(len(s.shards)))
-}
-
-// Learn implements model.Classifier: rows are partitioned by hash and
-// the non-empty shards learn their parts concurrently — the replicas
-// share no state, so one goroutine per shard is safe and training
-// scales across cores. Row→shard assignment is deterministic, so
-// results do not depend on the scheduling. Like every Scorer, one
-// learning loop at a time; Checkpoint and Restore serialise against it.
-func (s *ShardedScorer) Learn(b stream.Batch) {
-	if b.Len() == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	before, _ := s.StructureVersion()
-	for i := range s.shards {
-		s.px[i] = s.px[i][:0]
-		s.py[i] = s.py[i][:0]
-	}
-	for i, x := range b.X {
-		k := s.shardOf(x)
-		s.px[k] = append(s.px[k], x)
-		s.py[k] = append(s.py[k], b.Y[i])
-	}
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		if len(s.py[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh shard, batch stream.Batch) {
-			defer wg.Done()
-			sh.Learn(batch)
-		}(sh, stream.Batch{X: s.px[i], Y: s.py[i]})
-	}
-	wg.Wait()
-	if after, _ := s.StructureVersion(); after != before {
-		s.change.Fire()
-	}
-}
-
-// Predict implements model.Classifier via the row's shard.
-func (s *ShardedScorer) Predict(x []float64) int {
-	return s.shards[s.shardOf(x)].Predict(x)
-}
-
-// Proba implements Scorer via the row's shard.
-func (s *ShardedScorer) Proba(x []float64, out []float64) []float64 {
-	return s.shards[s.shardOf(x)].Proba(x, out)
-}
-
-// Schema implements Scorer (the replicas share one schema).
-func (s *ShardedScorer) Schema() stream.Schema { return s.shards[0].Schema() }
-
-// StructureVersion implements Scorer, summing the replicas — each
-// replica's version is monotone, so the sum moves exactly when any
-// replica's structure does. It reports false unless every replica
-// tracks a version.
-func (s *ShardedScorer) StructureVersion() (uint64, bool) {
-	var total uint64
-	for _, sh := range s.shards {
-		v, ok := sh.StructureVersion()
-		if !ok {
-			return 0, false
-		}
-		total += v
-	}
-	return total, true
-}
-
-// Changed implements Scorer: closed on the next Learn that moves the
-// summed version, or on Restore.
-func (s *ShardedScorer) Changed() <-chan struct{} { return s.change.Wait() }
-
-// PredictBatch implements Scorer, routing each row to its shard. Empty
-// (or nil) batches return an empty result with no per-shard dispatch.
-func (s *ShardedScorer) PredictBatch(X [][]float64, out []int) []int {
-	if len(X) == 0 {
-		return growInts(out, 0)
-	}
-	out = growInts(out, len(X))
-	for i, x := range X {
-		out[i] = s.shards[s.shardOf(x)].Predict(x)
-	}
-	return out
-}
-
-// ProbaBatch implements Scorer, routing each row to its shard. Empty
-// (or nil) batches return an empty result with no per-shard dispatch.
-func (s *ShardedScorer) ProbaBatch(X [][]float64, out [][]float64) [][]float64 {
-	if len(X) == 0 {
-		return growRows(out, 0)
-	}
-	out = growRows(out, len(X))
-	for i, x := range X {
-		out[i] = s.shards[s.shardOf(x)].Proba(x, out[i])
-	}
-	return out
-}
-
-// Complexity implements model.Classifier, summing the replicas.
-func (s *ShardedScorer) Complexity() model.Complexity {
-	var total model.Complexity
-	for _, sh := range s.shards {
-		total = total.Add(sh.Complexity())
-	}
-	return total
-}
-
-// Name implements model.Classifier.
-func (s *ShardedScorer) Name() string { return s.shards[0].Name() }
-
-// Unwrap implements Scorer with the first replica's live classifier.
-func (s *ShardedScorer) Unwrap() model.Classifier { return s.shards[0].Unwrap() }
-
-// shardedKind names the persist bundle of a sharded checkpoint: one
-// member envelope per replica, in shard order, and no meta.
-const shardedKind = "sharded"
-
-// Checkpoint implements Scorer: a bundle of per-shard envelopes. It
-// serialises against Learn and Restore, so the per-shard captures form
-// one consistent cut of the ensemble of replicas at a batch boundary
-// even while a trainer goroutine keeps calling Learn.
-func (s *ShardedScorer) Checkpoint(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	envs := make([][]byte, len(s.shards))
-	for i, sh := range s.shards {
-		var buf bytes.Buffer
-		if err := sh.Checkpoint(&buf); err != nil {
-			return fmt.Errorf("serve: checkpoint shard %d: %w", i, err)
-		}
-		envs[i] = buf.Bytes()
-	}
-	return persist.WriteBundle(w, shardedKind, nil, envs)
-}
-
-// Restore implements Scorer: the shard count must match the scorer's,
-// and each replica installs its own envelope in shard order (row→shard
-// routing is deterministic, so state lands on the replica that will
-// keep serving it). The whole bundle is read, checksummed,
-// reconstructed and name-checked before any shard is touched, so a
-// truncated or corrupt checkpoint never leaves the scorer serving a mix
-// of restored and pre-restore replicas. Restore serialises against
-// Learn and Checkpoint.
-func (s *ShardedScorer) Restore(r io.Reader) error {
-	b, err := persist.ReadBundle(r)
-	if err != nil {
-		return fmt.Errorf("serve: sharded checkpoint: %w", err)
-	}
-	if b.Kind != shardedKind {
-		return fmt.Errorf("serve: a %q checkpoint does not restore into a sharded scorer", b.Kind)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(b.Members) != len(s.shards) {
-		return fmt.Errorf("serve: checkpoint holds %d shards, scorer has %d", len(b.Members), len(s.shards))
-	}
-	for i, c := range b.Members {
-		if c.Name() != s.shards[i].Name() {
-			return fmt.Errorf("serve: shard %d checkpoint holds %q, scorer serves %q", i, c.Name(), s.shards[i].Name())
-		}
-	}
-	// Even a partial install may have moved the version, so waiters are
-	// woken either way.
-	defer s.change.Fire()
-	for i, sh := range s.shards {
-		if err := sh.install(b.Members[i]); err != nil {
-			return fmt.Errorf("serve: restore shard %d (scorer may be partially restored): %w", i, err)
-		}
-	}
-	return nil
-}
-
 // --- Registry-driven construction -----------------------------------
-
-// Mode selects the Scorer implementation.
-type Mode string
-
-const (
-	// ModeSnapshot is the default: lock-free reads via atomic snapshots.
-	ModeSnapshot Mode = "snapshot"
-	// ModeLocked is the RWMutex scorer.
-	ModeLocked Mode = "locked"
-	// ModeSharded hashes rows across independent replicas, each served
-	// through its own snapshot scorer.
-	ModeSharded Mode = "sharded"
-)
-
-// ParseMode resolves a CLI-style mode string ("" = snapshot).
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", ModeSnapshot:
-		return ModeSnapshot, nil
-	case ModeLocked:
-		return ModeLocked, nil
-	case ModeSharded:
-		return ModeSharded, nil
-	}
-	return "", fmt.Errorf("serve: unknown scorer mode %q (want snapshot, locked or sharded)", s)
-}
 
 // Config drives New, the registry-driven serving constructor.
 type Config struct {
-	// Model is the registered model name (see registry.Names).
+	// Model is the registered model name (see registry.Names), or a
+	// "race:dmt,vfdt,arf" spec.
 	Model string
 	// Schema describes the stream the scorer will serve.
 	Schema stream.Schema
 	// Options are the model's functional options (seed, rates, ...).
 	Options []registry.Option
-	// Mode selects the Scorer implementation (default ModeSnapshot).
-	Mode Mode
 	// PublishEvery is the snapshot publish cadence in Learn calls
-	// (<= 1: every batch). Snapshot and sharded modes only.
+	// (<= 1: every batch).
 	PublishEvery int
 	// PublishOnChange republishes only when the model's structure
 	// version moved (splits/prunes/replacements/swaps) instead of on the
-	// batch cadence. Snapshot and sharded modes; requires a model that
-	// implements model.StructureVersioner (every tree learner and both
-	// ensembles do; the structureless GLM and Naive Bayes do not).
+	// batch cadence. It requires a model that implements
+	// model.StructureVersioner (every tree learner and both ensembles
+	// do; the structureless GLM and Naive Bayes do not).
 	PublishOnChange bool
-	// Shards is the replica count of ModeSharded (default 2).
-	Shards int
 }
 
-// New builds a registered model (or, for ModeSharded, Shards replicas
-// with per-shard derived seeds) and wraps it in the requested Scorer.
-// Models that cannot snapshot — only possible for external learners
-// registered without implementing model.Snapshotter — degrade to the
-// lock-based scorer.
+// New builds a registered model and wraps it in the snapshot scorer, or
+// builds the racer for a race spec. A model that cannot snapshot — only
+// possible for an external learner registered without implementing
+// model.Snapshotter — degrades to the RWMutex scorer.
 func New(cfg Config) (Scorer, error) {
-	mode := cfg.Mode
-	if mode == "" {
-		mode = ModeSnapshot
-	}
 	// A "race:dmt,vfdt,arf" model spec builds the racing meta-scorer
 	// instead of a single model. The racer is its own serving
-	// implementation (wait-free leader snapshot reads), so the mode
-	// knob does not apply.
+	// implementation (wait-free leader snapshot reads), so the publish
+	// knobs do not apply.
 	if race.IsSpec(cfg.Model) {
 		arms, err := race.ParseSpec(cfg.Model)
 		if err != nil {
@@ -917,59 +629,19 @@ func New(cfg Config) (Scorer, error) {
 			DriftDelta: p.DriftDelta,
 		})
 	}
-	build := func(extra ...registry.Option) (model.Classifier, error) {
-		return registry.New(cfg.Model, cfg.Schema, append(append([]registry.Option{}, cfg.Options...), extra...)...)
+	c, err := registry.New(cfg.Model, cfg.Schema, cfg.Options...)
+	if err != nil {
+		return nil, err
 	}
-	wrapOne := func(c model.Classifier) (shard, error) {
-		if cfg.PublishOnChange {
-			return NewSnapshotOnChange(c)
-		}
-		return wrap(c, cfg.PublishEvery), nil
+	if cfg.PublishOnChange {
+		return NewSnapshotOnChange(c)
 	}
-	switch mode {
-	case ModeLocked:
-		c, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return NewLocked(c), nil
-	case ModeSnapshot:
-		c, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return wrapOne(c)
-	case ModeSharded:
-		// Unset defaults to 2; an explicit count is honoured as given
-		// (1 is a valid single-replica deployment, not silently doubled).
-		n := cfg.Shards
-		if n <= 0 {
-			n = 2
-		}
-		shards := make([]shard, n)
-		for i := range shards {
-			c, err := build(func(p *registry.Params) {
-				// Decorrelate the replicas: each shard derives its seed
-				// from the configured one.
-				p.Seed = p.Seed*1_000_003 + int64(i) + 1
-			})
-			if err != nil {
-				return nil, err
-			}
-			if shards[i], err = wrapOne(c); err != nil {
-				return nil, err
-			}
-		}
-		return newSharded(shards)
-	}
-	return nil, fmt.Errorf("serve: unknown mode %q", mode)
+	return Wrap(c, cfg.PublishEvery), nil
 }
 
 // Wrap wraps an existing classifier in the snapshot scorer when it can
-// snapshot, falling back to the lock-based scorer otherwise.
-func Wrap(c model.Classifier, publishEvery int) Scorer { return wrap(c, publishEvery) }
-
-func wrap(c model.Classifier, publishEvery int) shard {
+// snapshot, falling back to the RWMutex scorer otherwise.
+func Wrap(c model.Classifier, publishEvery int) Scorer {
 	if s, err := NewSnapshot(c, publishEvery); err == nil {
 		return s
 	}
@@ -978,13 +650,13 @@ func wrap(c model.Classifier, publishEvery int) shard {
 
 // FromCheckpoint reconstructs a fresh serving scorer from checkpoint
 // bytes written by any Scorer.Checkpoint — a single model envelope, or
-// a bundle of shards or racer arms — without the caller naming a model
-// or a topology: both are read off the stream, which is consumed
-// exactly. This is how a stateless serving replica bootstraps from a
-// trainer's published envelope (see the network serving tier) before it
-// starts following version updates via Restore. Each reconstructed
-// model is wrapped in the snapshot scorer with the given publish
-// cadence (lock-based fallback for models that cannot snapshot).
+// a racer's bundle of arms — without the caller naming a model: it is
+// read off the stream, which is consumed exactly. This is how a
+// stateless serving replica bootstraps from a trainer's published
+// envelope (see the network serving tier) before it starts following
+// version updates via Restore. A single model is wrapped in the snapshot
+// scorer with the given publish cadence (RWMutex fallback for models
+// that cannot snapshot).
 func FromCheckpoint(r io.Reader, publishEvery int) (Scorer, error) {
 	var magic [len(persist.BundleMagic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -996,21 +668,14 @@ func FromCheckpoint(r io.Reader, publishEvery int) (Scorer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wrap(c, publishEvery), nil
+		return Wrap(c, publishEvery), nil
 	}
 	b, err := persist.ReadBundle(r)
 	if err != nil {
 		return nil, err
 	}
-	switch b.Kind {
-	case race.BundleKind:
-		return race.FromBundle(b)
-	case shardedKind:
-		shards := make([]shard, len(b.Members))
-		for i, c := range b.Members {
-			shards[i] = wrap(c, publishEvery)
-		}
-		return newSharded(shards)
+	if b.Kind != race.BundleKind {
+		return nil, fmt.Errorf("serve: unknown checkpoint bundle kind %q", b.Kind)
 	}
-	return nil, fmt.Errorf("serve: unknown checkpoint bundle kind %q", b.Kind)
+	return race.FromBundle(b)
 }

@@ -54,6 +54,19 @@ func multiclassBatches(t testing.TB, n, size int, seed int64) ([]stream.Batch, s
 	return out, gen.Schema()
 }
 
+// lockedAndSnapshot builds two identically seeded copies of a
+// registered model: one behind the RWMutex scorer, the reference, and
+// one behind the snapshot scorer New serves it with.
+func lockedAndSnapshot(t *testing.T, name string, schema stream.Schema, seed int64) (locked, snap Scorer) {
+	t.Helper()
+	snap, err := New(Config{Model: name, Schema: schema,
+		Options: []registry.Option{registry.WithSeed(seed)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewLocked(registryMust(t, name, schema, seed)), snap
+}
+
 // assertSameReads fails when the two scorers disagree on any probe row
 // (prediction or probability vector, bitwise).
 func assertSameReads(t *testing.T, name string, a, b Scorer, probes [][]float64, classes int) {
@@ -84,16 +97,7 @@ func TestSnapshotMatchesLockedAllModels(t *testing.T) {
 	probes := batches[len(batches)-1].X
 	for _, name := range registry.Names() {
 		t.Run(name, func(t *testing.T) {
-			locked, err := New(Config{Model: name, Schema: schema, Mode: ModeLocked,
-				Options: []registry.Option{registry.WithSeed(7)}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, err := New(Config{Model: name, Schema: schema, Mode: ModeSnapshot,
-				Options: []registry.Option{registry.WithSeed(7)}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			locked, snap := lockedAndSnapshot(t, name, schema, 7)
 			if _, ok := snap.(*SnapshotScorer); !ok {
 				t.Fatalf("registered model %q did not get a snapshot scorer", name)
 			}
@@ -116,16 +120,7 @@ func TestSnapshotMatchesLockedMulticlass(t *testing.T) {
 	batches, schema := multiclassBatches(t, 8, 100, 5)
 	probes := batches[len(batches)-1].X
 	for _, name := range []string{"DMT", "FIMT-DD", "GLM", "Naive Bayes", "VFDT (NBA)"} {
-		locked, err := New(Config{Model: name, Schema: schema, Mode: ModeLocked,
-			Options: []registry.Option{registry.WithSeed(2)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := New(Config{Model: name, Schema: schema, Mode: ModeSnapshot,
-			Options: []registry.Option{registry.WithSeed(2)}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		locked, snap := lockedAndSnapshot(t, name, schema, 2)
 		for _, b := range batches[:len(batches)-1] {
 			locked.Learn(b)
 			snap.Learn(b)
@@ -200,12 +195,8 @@ func registryMust(t *testing.T, name string, schema stream.Schema, seed int64) m
 // whole batch from one state.
 func TestBatchReadsMatchRowReads(t *testing.T) {
 	batches, schema := seaBatches(t, 6, 100, 13)
-	for _, mode := range []Mode{ModeLocked, ModeSnapshot, ModeSharded} {
-		s, err := New(Config{Model: "VFDT (NBA)", Schema: schema, Mode: mode, Shards: 3,
-			Options: []registry.Option{registry.WithSeed(3)}})
-		if err != nil {
-			t.Fatal(err)
-		}
+	locked, snap := lockedAndSnapshot(t, "VFDT (NBA)", schema, 3)
+	for mode, s := range map[string]Scorer{"locked": locked, "snapshot": snap} {
 		for _, b := range batches[:5] {
 			s.Learn(b)
 		}
@@ -232,48 +223,6 @@ func TestBatchReadsMatchRowReads(t *testing.T) {
 	}
 }
 
-// Sharded serving: deterministic routing, replicated construction
-// determinism, and summed complexity.
-func TestShardedScorer(t *testing.T) {
-	batches, schema := seaBatches(t, 10, 200, 17)
-	build := func() Scorer {
-		s, err := New(Config{Model: "VFDT", Schema: schema, Mode: ModeSharded, Shards: 3,
-			Options: []registry.Option{registry.WithSeed(5)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := build(), build()
-	for _, batch := range batches[:9] {
-		a.Learn(batch)
-		b.Learn(batch)
-	}
-	sh := a.(*ShardedScorer)
-	if sh.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", sh.NumShards())
-	}
-	// Two identical builds must agree on every probe (deterministic
-	// hashing and per-shard seeds).
-	for i, x := range batches[9].X {
-		if a.Predict(x) != b.Predict(x) {
-			t.Fatalf("sharded scorers diverge at probe %d", i)
-		}
-	}
-	// Complexity sums the replicas: at least one leaf per shard.
-	comp := a.Complexity()
-	if comp.Leaves < 3 {
-		t.Fatalf("summed complexity reports %d leaves, want >= 3", comp.Leaves)
-	}
-	var want model.Complexity
-	for i := 0; i < sh.NumShards(); i++ {
-		want = want.Add(sh.Shard(i).Complexity())
-	}
-	if comp != want {
-		t.Fatalf("Complexity() = %+v, sum of shards = %+v", comp, want)
-	}
-}
-
 // nonSnapshotClassifier is a minimal external model without Snapshot.
 type nonSnapshotClassifier struct{ n int }
 
@@ -289,8 +238,8 @@ func TestNonSnapshotFallback(t *testing.T) {
 		t.Fatal("NewSnapshot accepted a classifier without Snapshot")
 	}
 	s := Wrap(&nonSnapshotClassifier{}, 1)
-	if _, ok := s.(*LockScorer); !ok {
-		t.Fatalf("Wrap returned %T, want *LockScorer", s)
+	if _, ok := s.(*lockScorer); !ok {
+		t.Fatalf("Wrap returned %T, want *lockScorer", s)
 	}
 	// The one-hot Proba fallback grows in place to exactly y+1 entries.
 	x := []float64{0}
@@ -316,21 +265,6 @@ func TestOneHotSemantics(t *testing.T) {
 	}
 	if &grown[0] != &buf[:1][0] {
 		t.Fatal("OneHot abandoned a sufficient backing array")
-	}
-}
-
-// ParseMode accepts the three modes (and "" as snapshot) and rejects
-// anything else.
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": ModeSnapshot, "snapshot": ModeSnapshot,
-		"locked": ModeLocked, "sharded": ModeSharded} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode accepted bogus")
 	}
 }
 
@@ -368,13 +302,12 @@ func TestSnapshotReadsZeroAlloc(t *testing.T) {
 // both scorer implementations.
 func TestConcurrentReadsDuringLearn(t *testing.T) {
 	for _, name := range []string{"FIMT-DD", "GLM", "Naive Bayes"} {
-		for _, mode := range []Mode{ModeLocked, ModeSnapshot} {
-			t.Run(name+"/"+string(mode), func(t *testing.T) {
+		for _, mode := range []string{"locked", "snapshot"} {
+			t.Run(name+"/"+mode, func(t *testing.T) {
 				batches, schema := seaBatches(t, 40, 100, 23)
-				s, err := New(Config{Model: name, Schema: schema, Mode: mode,
-					Options: []registry.Option{registry.WithSeed(8)}})
-				if err != nil {
-					t.Fatal(err)
+				s, snap := lockedAndSnapshot(t, name, schema, 8)
+				if mode == "snapshot" {
+					s = snap
 				}
 				stop := make(chan struct{})
 				var wg sync.WaitGroup

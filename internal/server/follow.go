@@ -631,8 +631,8 @@ func Follow(ctx context.Context, baseURL string, sc serve.Scorer, cfg FollowConf
 }
 
 // Bootstrap fetches the trainer's current envelope once and constructs
-// a local scorer from it (sharded checkpoints reconstruct a sharded
-// scorer). This is how `dmtserve -follow` starts with no local model.
+// a local scorer from it (a racer's checkpoint reconstructs a racer).
+// This is how `dmtserve -follow` starts with no local model.
 // A nil client gets the shared default; the fetch is bound to ctx.
 func Bootstrap(ctx context.Context, client *http.Client, baseURL string, publishEvery int) (serve.Scorer, uint64, error) {
 	sc, v, _, err := BootstrapRaw(ctx, client, baseURL, publishEvery)

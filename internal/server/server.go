@@ -197,7 +197,7 @@ type Server struct {
 // version, its full wire bytes, and the wire bytes of the delta envelope
 // leading to it from the previous entry (nil when none could be
 // computed — the ring's first entry, or a scorer whose checkpoint is a
-// bundle rather than a single envelope: a sharded scorer or a racer).
+// bundle rather than a single envelope: a racer).
 type envEntry struct {
 	ver   uint64
 	raw   []byte
@@ -565,8 +565,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 // --- hot swap and envelope publishing --------------------------------
 
-// handleSwap streams a persist envelope (or, for a sharded scorer or a
-// racer, a persist bundle) from the request body into the live scorer.
+// handleSwap streams a persist envelope (or, for a racer, a persist
+// bundle) from the request body into the live scorer.
 // Restore validates everything before any state is touched and installs
 // with the scorer's own consistency guarantees, so concurrent reads
 // never fail and never see a half-swapped model.
@@ -644,7 +644,7 @@ func (s *Server) pushHistory(v uint64, raw []byte) {
 		}
 		var dwire []byte
 		// A capture that is a bundle rather than one plain envelope (a
-		// sharded scorer or a racer) fails MakeDelta; the entry then
+		// racer's) fails MakeDelta; the entry then
 		// simply breaks the chain and ?since= falls back to full.
 		if d, err := persist.MakeDelta(s.envHist[n-1].raw, raw); err == nil {
 			var db bytes.Buffer

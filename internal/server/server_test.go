@@ -29,7 +29,7 @@ import (
 func newTrainedScorer(t testing.TB, batches int) serve.Scorer {
 	t.Helper()
 	schema := synth.NewSEA(100, 0.1, 1).Schema()
-	s, err := serve.New(serve.Config{Model: "VFDT (MC)", Schema: schema, Mode: serve.ModeSnapshot})
+	s, err := serve.New(serve.Config{Model: "VFDT (MC)", Schema: schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,40 +645,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// FromCheckpoint reconstructs a sharded scorer from its counted
-// envelope sequence, and the server serves it like any other.
-func TestShardedEnvelopeServes(t *testing.T) {
-	schema := synth.NewSEA(100, 0.1, 1).Schema()
-	sh, err := serve.New(serve.Config{Model: "VFDT (MC)", Schema: schema, Mode: serve.ModeSharded, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := synth.NewSEA(4000, 0.1, 21)
-	for i := 0; i < 40; i++ {
-		b, err := stream.NextBatch(gen, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh.Learn(b)
-	}
-	var env bytes.Buffer
-	if err := sh.Checkpoint(&env); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := serve.FromCheckpoint(bytes.NewReader(env.Bytes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	X, _ := seaRows(16, 22)
-	if want, got := sh.PredictBatch(X, nil), restored.PredictBatch(X, nil); !equalInts(want, got) {
-		t.Fatal("sharded FromCheckpoint disagrees with the original")
-	}
-	_, ts := newTestServer(t, restored, Config{})
-	resp := postJSON(t, ts.URL+"/v1/predict_batch", batchRequest{Rows: X})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal(resp.Status)
-	}
 }

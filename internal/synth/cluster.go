@@ -26,8 +26,9 @@ const (
 
 // ClusterConfig parameterises a Gaussian-cluster surrogate stream: c
 // classes, each represented by a few Gaussian clusters in [0,1]^m, class
-// priors matching a target imbalance, and a drift schedule. DESIGN.md §4
-// documents which real-world data set each configuration stands in for.
+// priors matching a target imbalance, and a drift schedule. The package
+// doc of internal/datasets documents which real-world data set each
+// configuration stands in for.
 type ClusterConfig struct {
 	// Name labels the stream (e.g. "Electricity*"; the asterisk marks a
 	// surrogate).

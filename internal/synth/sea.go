@@ -3,8 +3,8 @@
 // scikit-multiflow SEA, Agrawal and Hyperplane generators with the drift
 // schedules and 10% perturbation the paper specifies, plus a configurable
 // Gaussian-cluster generator used to build surrogates for the real-world
-// data sets that cannot be downloaded in this offline environment (see
-// DESIGN.md §4). All generators emit features normalised to [0, 1] and
+// data sets the repository does not ship (see the package doc of
+// internal/datasets). All generators emit features normalised to [0, 1] and
 // replay identically after Reset (fixed seeds).
 package synth
 

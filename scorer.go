@@ -12,26 +12,16 @@ import (
 // serving pattern the paper targets: the model keeps training on the
 // live stream while prediction traffic reads it.
 //
-// Three implementations are available (see Serve for registry-driven
-// construction):
-//
-//   - LockedScorer (NewScorer): reads under a sync.RWMutex read lock —
-//     simple, always applicable, but reads stall while Learn holds the
-//     write lock.
-//   - SnapshotScorer (NewSnapshotScorer / Serve): reads are wait-free —
-//     they load an immutable model snapshot through an atomic pointer
-//     that Learn republishes every WithPublishEvery batches.
-//   - ShardedScorer (Serve with WithShards): rows hash across N
-//     independent replicas for multi-core serving and training.
+// Serve builds every registered model behind a SnapshotScorer: reads
+// are wait-free — they load an immutable model snapshot through an
+// atomic pointer that Learn republishes every WithPublishEvery batches.
+// NewScorer wraps any classifier behind a sync.RWMutex instead: always
+// applicable, but reads stall while Learn holds the write lock.
 type Scorer = serve.Scorer
 
 type (
-	// LockedScorer is the RWMutex-based Scorer implementation.
-	LockedScorer = serve.LockScorer
 	// SnapshotScorer is the lock-free snapshot-publishing Scorer.
 	SnapshotScorer = serve.SnapshotScorer
-	// ShardedScorer hashes rows across independent learner replicas.
-	ShardedScorer = serve.ShardedScorer
 	// ModelSnapshot is an immutable serving view of a classifier.
 	ModelSnapshot = model.Snapshot
 	// Snapshotter is implemented by every registered learner: it exports
@@ -40,9 +30,9 @@ type (
 )
 
 // NewScorer wraps a classifier behind a sync.RWMutex. It remains the
-// conservative default for arbitrary classifiers; use NewSnapshotScorer
+// conservative choice for arbitrary classifiers; use NewSnapshotScorer
 // (or Serve) for wait-free reads.
-func NewScorer(c Classifier) *LockedScorer { return serve.NewLocked(c) }
+func NewScorer(c Classifier) Scorer { return serve.NewLocked(c) }
 
 // NewSnapshotScorer wraps a snapshot-capable classifier (every model
 // built by New is one) so reads are wait-free: after each publishEvery

@@ -4,9 +4,9 @@ import "repro/internal/serve"
 
 // Serve is the registry-driven serving entry point: it builds a
 // registered model by name and wraps it in a concurrency-safe Scorer in
-// one call. The default is the lock-free SnapshotScorer publishing after
-// every Learn; options select the publish cadence, the RWMutex fallback
-// or hash-sharded replicas.
+// one call: the lock-free SnapshotScorer, publishing after every Learn
+// unless an option sets the publish cadence or publish-on-change. A
+// "race:dmt,vfdt,arf" spec builds a racer instead (see Race).
 //
 //	scorer, err := repro.Serve("DMT", schema,
 //		repro.WithServeModelOptions(repro.WithSeed(42)),
@@ -56,25 +56,6 @@ func WithPublishEvery(n int) ServeOption {
 // publishing.
 func WithPublishOnChange() ServeOption {
 	return func(c *serve.Config) { c.PublishOnChange = true }
-}
-
-// WithLockedServing selects the RWMutex scorer instead of the lock-free
-// snapshot scorer.
-func WithLockedServing() ServeOption {
-	return func(c *serve.Config) { c.Mode = serve.ModeLocked }
-}
-
-// WithShards serves through n independent model replicas (n <= 0
-// defaults to 2; 1 is honoured as a single-replica deployment), each
-// behind its own snapshot scorer: rows hash to a replica for both
-// learning and prediction, so training and serving scale across cores.
-// Each replica sees 1/n of the stream — accuracy on short streams
-// trails a single model.
-func WithShards(n int) ServeOption {
-	return func(c *serve.Config) {
-		c.Mode = serve.ModeSharded
-		c.Shards = n
-	}
 }
 
 // WithServeModelOptions forwards functional model options (WithSeed,
