@@ -1,7 +1,9 @@
-# CI entry points. `make ci` is the gate: vet + build + tests + a short
-# race pass over the concurrency-sensitive paths (Scorer, Runner,
-# registry) + the GOMAXPROCS=1 inline pass + a short fuzz pass + the
-# benchmark module's unit tests + the three dmtserve smokes.
+# CI entry points. `make ci` is the gate: vet (on amd64 and, cross-
+# compiled, on arm64, so the generic fallback of the linalg assembly
+# kernels keeps building) + build + tests + a short race pass over the
+# concurrency-sensitive paths (Scorer, Runner, registry) + the
+# GOMAXPROCS=1 inline pass + a short fuzz pass + the benchmark module's
+# unit tests + the three dmtserve smokes.
 #
 # `make bench` runs the Benchmark*Op hot-path micro-benchmarks with
 # -benchmem and writes BENCH_PR10.json (ns/op, B/op, allocs/op and
@@ -29,7 +31,8 @@
 # prediction hammer; the leader must change at least once, /statusz must
 # carry the per-arm scoreboard, and zero requests may fail.
 # `make fuzz` runs each native fuzz target — the binary row decoder, the
-# checkpoint envelope reader and the checkpoint bundle reader — for
+# checkpoint envelope reader, the checkpoint bundle reader and the
+# bit identity of the linalg assembly kernels with their Go loops — for
 # FUZZTIME on top of its committed corpus (testdata/fuzz); a failing
 # input is written there. Minimizing a new input is capped at
 # FUZZMINTIME: the checkpoint seeds run to kilobytes, and minimizing one
@@ -58,6 +61,7 @@ ci: vet build test race inline fuzz bench-unit serve-smoke chaos-smoke race-smok
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -77,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/linalg
 
 bench-unit:
 	cd bench/dmtperf && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...

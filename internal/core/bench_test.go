@@ -40,7 +40,7 @@ func benchBatches(m, count, size int, seed int64) []stream.Batch {
 // (candidate accumulation + proposal admission) on a warmed node with a
 // full candidate pool — the inner loop the candidate index optimises.
 // Besides the binary 100-row sweep over m it runs two preq-wide shapes:
-// Gas* (m = 128, 6 classes, 13-row batches: w = 774, a 3.2 MB arena) and
+// Gas* (m = 128, 6 classes, 13-row batches: w = 645, a 2.6 MB arena) and
 // Hyperplane (m = 50, binary, 500-row batches).
 func BenchmarkCandidateScanOp(b *testing.B) {
 	cases := []struct {

@@ -11,11 +11,17 @@ import (
 // over the shared worker pool. The estimate of the pass's work is
 // rows·m·w (the bucket gathers) plus entries·w (the arena updates); below
 // minWork the pass runs inline, because waking a helper costs more than
-// it saves on a small pass: on a 2-vCPU host a 100-row batch at m = 50
-// (work ≈ 2^18) ran ~10% slower pooled, 250 rows broke even, and
-// TueEyeQ*'s 15-row batches at m = 76 lost ~10%. parts overrides the
-// number of ranges (0: one per pool goroutine). Tests force either path
-// through this variable; it is not a knob.
+// it saves on a small pass. Measured on a 2-vCPU host with the AVX2
+// kernels, pooled over inline time per pass, median of 41 interleaved
+// pairs: a 100-row batch at m = 50 (work ≈ 2^18) 1.07, 175 rows (2^18.8)
+// 1.01, 250 rows (2^19.3) 0.89, 500 rows 0.81; TueEyeQ*'s 15-row batches
+// at m = 76 (2^16.7) 1.03; Gas*'s 13-row batches at m = 128 (w = 645,
+// 2^20.3) 1.01. The scalar kernels, measured the same way, read 1.04,
+// 0.88, 0.78, 0.75, 1.04 and 0.69: the faster kernels moved the
+// break-even up to between 2^18.8 and 2^19.3, so 2^19 still sits at it,
+// and only Gas* fell from a gain to break-even above it. parts overrides
+// the number of ranges (0: one per pool goroutine). Tests force either
+// path through this variable; it is not a knob.
 var scanGate = struct {
 	minWork int
 	parts   int
@@ -140,7 +146,10 @@ func (st *scanTask) balance(ix *candIndex, nu, parts int) {
 // row (linalg.AddGatherRows), adds it to the running suffix sum and adds
 // that sum into the entry's arena slot (linalg.AddNorms), caching the
 // slot's gain norms. The temp row keeps every addition in the order of
-// the old bucket-matrix-then-suffix-sweep pass, bit for bit.
+// the old bucket-matrix-then-suffix-sweep pass, bit for bit. The
+// arithmetic of (c) is the linalg kernels', which run as AVX2 assembly
+// where the CPU has it; they give the bits of their generic Go loops, so
+// this pass and every digest are the same on either path.
 func (t *Tree) scanFeature(n *node, j, nu int, rg *scanRange) {
 	ix := n.idx
 	sc := t.scratch

@@ -2,6 +2,20 @@
 // simple models and split statistics throughout the repository. All
 // functions operate on plain []float64 slices and avoid allocation where a
 // destination slice is supplied.
+//
+// The five kernels of the DMT candidate scan — Add, Norm2SqDiff, Norms,
+// AddNorms and AddGatherRows — run as AVX2 assembly (kernels_amd64.s)
+// on amd64 CPUs whose CPUID and XGETBV report AVX2 with OS-saved YMM
+// state, and as generic Go loops everywhere else. The generic loops (the
+// unexported …Generic functions) are the reference: the assembly gives
+// exactly their bits. It keeps their four-accumulator order (lane k of
+// a YMM register is the loop's accumulator for i mod 4 == k; a gather
+// sums each coordinate in row order), multiplies and adds with separate
+// instructions, never FMA, keeps each add's operand order, and leaves
+// the reductions' 1-3 element tail to the same Go code as the loops. The
+// golden digests of the DMT therefore do not depend on the path. A new
+// assembly kernel needs a bit-identity test against its generic twin in
+// kernels_test.go, on the lengths, strides and special values there.
 package linalg
 
 import "math"
@@ -73,11 +87,16 @@ func MulInto(dst, x []float64, alpha float64) {
 	}
 }
 
-// Add computes dst[i] += x[i] in place, 4-way unrolled.
+// Add computes dst[i] += x[i] in place.
 func Add(dst, x []float64) {
 	if len(x) != len(dst) {
 		panic("linalg: Add length mismatch")
 	}
+	add(dst, x)
+}
+
+// addGeneric is the reference loop of Add, 4-way unrolled.
+func addGeneric(dst, x []float64) {
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
 		di := dst[i : i+4 : i+4]
@@ -141,11 +160,17 @@ func Norm2Sq(x []float64) float64 {
 func Norm2(x []float64) float64 { return math.Sqrt(Norm2Sq(x)) }
 
 // Norm2SqDiff returns the squared Euclidean norm of a-b without
-// allocating, 4-way unrolled.
+// allocating.
 func Norm2SqDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("linalg: Norm2SqDiff length mismatch")
 	}
+	return norm2SqDiff(a, b)
+}
+
+// norm2SqDiffGeneric is the reference loop of Norm2SqDiff, 4-way
+// unrolled: four accumulators by i mod 4, the tail into the first.
+func norm2SqDiffGeneric(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -172,8 +197,23 @@ func Norm2SqDiff(a, b []float64) float64 {
 // stream past, so each element costs one load and one add instead of the
 // load/add/store round trip of repeated Add calls. The accumulation order
 // per coordinate is exactly row order, so the result is bit-identical to
-// adding the rows one at a time.
+// adding the rows one at a time. Every gathered row must lie within src:
+// AddGatherRows panics on a row r with r*stride < 0 or
+// r*stride+len(dst) > len(src).
 func AddGatherRows(dst, src []float64, rows []int32, stride int) {
+	if len(dst) == 0 {
+		return
+	}
+	for _, r := range rows {
+		if base := int(r) * stride; base < 0 || base > len(src)-len(dst) {
+			panic("linalg: AddGatherRows row out of range")
+		}
+	}
+	addGatherRows(dst, src, rows, stride)
+}
+
+// addGatherRowsGeneric is the reference loop of AddGatherRows.
+func addGatherRowsGeneric(dst, src []float64, rows []int32, stride int) {
 	c := 0
 	for ; c+8 <= len(dst); c += 8 {
 		s0, s1, s2, s3 := dst[c], dst[c+1], dst[c+2], dst[c+3]
@@ -212,6 +252,11 @@ func AddNorms(dst, x, p []float64) (sq, diffSq float64) {
 	if len(x) != len(dst) || len(p) != len(dst) {
 		panic("linalg: AddNorms length mismatch")
 	}
+	return addNorms(dst, x, p)
+}
+
+// addNormsGeneric is the reference loop of AddNorms.
+func addNormsGeneric(dst, x, p []float64) (sq, diffSq float64) {
 	var s0, s1, s2, s3 float64
 	var t0, t1, t2, t3 float64
 	i := 0
@@ -253,6 +298,11 @@ func Norms(c, p []float64) (sq, diffSq float64) {
 	if len(p) != len(c) {
 		panic("linalg: Norms length mismatch")
 	}
+	return norms(c, p)
+}
+
+// normsGeneric is the reference loop of Norms.
+func normsGeneric(c, p []float64) (sq, diffSq float64) {
 	var s0, s1, s2, s3 float64
 	var t0, t1, t2, t3 float64
 	i := 0
