@@ -1,6 +1,6 @@
-# CI entry points. `make ci` is the gate: vet (on amd64 and, cross-
-# compiled, on arm64, so the generic fallback of the linalg assembly
-# kernels keeps building) + build + tests + a short race pass over the
+# CI entry points. `make ci` is the gate: the gofmt check + vet (on
+# amd64 and, cross-compiled, on arm64, so the generic fallback of the
+# linalg assembly kernels keeps building) + build + tests + a short race pass over the
 # concurrency-sensitive paths (Scorer, Runner, registry) + the
 # GOMAXPROCS=1 inline pass + a short fuzz pass + the benchmark module's
 # unit tests + the three dmtserve smokes.
@@ -31,8 +31,9 @@
 # prediction hammer; the leader must change at least once, /statusz must
 # carry the per-arm scoreboard, and zero requests may fail.
 # `make fuzz` runs each native fuzz target — the binary row decoder, the
-# checkpoint envelope reader, the checkpoint bundle reader and the
-# bit identity of the linalg assembly kernels with their Go loops — for
+# checkpoint envelope reader, the checkpoint bundle reader, the bit
+# identity of the linalg assembly kernels with their Go loops and the CSV
+# reader's round trip (the #kinds header included) — for
 # FUZZTIME on top of its committed corpus (testdata/fuzz); a failing
 # input is written there. Minimizing a new input is capped at
 # FUZZMINTIME: the checkpoint seeds run to kilobytes, and minimizing one
@@ -44,6 +45,9 @@
 # GOMAXPROCS=1, where the pool has no helpers and every fan-out runs
 # inline on the caller, and checks the golden digests there too: the
 # inline path must reproduce the digests the pooled path committed.
+# `make fmt` fails when gofmt would reformat any file; the CI workflow's
+# gofmt step runs the same target, so the local gate and the workflow
+# agree.
 
 GO ?= go
 BENCH_TXT ?= /tmp/repro_bench_current.txt
@@ -57,7 +61,7 @@ FUZZMINTIME ?= 1s
 
 all: ci
 
-ci: vet build test race inline fuzz bench-unit serve-smoke chaos-smoke race-smoke
+ci: fmt vet build test race inline fuzz bench-unit serve-smoke chaos-smoke race-smoke
 
 vet:
 	$(GO) vet ./...
@@ -82,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/linalg
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/stream
 
 bench-unit:
 	cd bench/dmtperf && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
@@ -106,4 +111,4 @@ race-smoke:
 	$(GO) run ./cmd/dmtserve -smoke -model 'race:glm,vfdt,nb'
 
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" $$out; exit 1; fi

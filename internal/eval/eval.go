@@ -148,6 +148,11 @@ func Prequential(c model.Classifier, s stream.Stream, opts Options) (Result, err
 // PrequentialContext is Prequential with cancellation: the context is
 // checked before every test-then-train iteration, and a cancelled run
 // returns the iterations finished so far together with ctx.Err().
+//
+// Over a *stream.Memory every batch handed to c is a view of the
+// stream's own rows (stream.NextBatchContext), so the run copies and
+// allocates nothing per row; c must only read them, as model.Classifier
+// requires.
 func PrequentialContext(ctx context.Context, c model.Classifier, s stream.Stream, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	schema := s.Schema()

@@ -8,6 +8,12 @@ import "repro/internal/stream"
 // Classifier is a batch-incremental online classifier. The prequential
 // evaluator calls Predict on every row of a batch first (test) and then
 // Learn on the same batch (train).
+//
+// Batch rows are read-only. Learn, Predict, PredictBatch and Proba read
+// the rows they are given during the call, and never write them or read
+// them after it returns: a batch drawn from an in-memory stream is a view
+// of the stream's own rows, which later passes, replays and other
+// learners read again.
 type Classifier interface {
 	// Learn updates the model with a labelled batch.
 	Learn(b stream.Batch)

@@ -164,7 +164,8 @@ func WriteCSV(w io.Writer, s Stream) (int, error) {
 
 // cellValue converts one CSV cell of a declared categorical column to its
 // level code: a declared level name resolves through the dictionary, and
-// anything else must parse as a valid integer code.
+// anything else must parse as a valid integer code. A code cell "-0"
+// reads as code 0, the value every other spelling of level 0 gets.
 func cellValue(cell string, k FeatureKind, dict map[string]int) (float64, error) {
 	if dict != nil {
 		if code, ok := dict[cell]; ok {
@@ -181,7 +182,7 @@ func cellValue(cell string, k FeatureKind, dict map[string]int) (float64, error)
 	if err := CheckCode(v, k.Cardinality); err != nil {
 		return 0, err
 	}
-	return v, nil
+	return float64(int(v)), nil
 }
 
 // levelDict builds the name-to-code map of a kind with declared levels.

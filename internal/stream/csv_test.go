@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -270,5 +271,32 @@ func TestOpenCSVLineErrors(t *testing.T) {
 				t.Fatal("stream continued past a bad row")
 			}
 		})
+	}
+}
+
+// A level dictionary that names two levels alike cannot round-trip (the
+// name reads back as one code), so the kinds row is rejected.
+func TestReadCSVRejectsDuplicateLevels(t *testing.T) {
+	in := "color,class\ncat:2:red|red,#kinds\nred,0\n0,1\n"
+	if _, err := ReadCSV(strings.NewReader(in), "dup", 2); err == nil || !strings.Contains(err.Error(), `"red"`) {
+		t.Fatalf("duplicate level names not reported: %v", err)
+	}
+	if err := CategoricalLevels("a", "b", "a").Validate(); err == nil {
+		t.Fatal("CategoricalLevels with a repeated name validated")
+	}
+}
+
+// A categorical code cell spelled "-0" reads as code 0, so it writes and
+// reads back as the same bits whether or not the column names levels.
+func TestReadCSVNegativeZeroCode(t *testing.T) {
+	for _, kinds := range []string{"cat:2", "cat:2:a|b"} {
+		m, err := ReadCSV(strings.NewReader("c,class\n"+kinds+",#kinds\n-0,0\n1,1\n"), "zero", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, _ := m.Next()
+		if math.Signbit(inst.X[0]) {
+			t.Fatalf("%s: code cell -0 read as negative zero", kinds)
+		}
 	}
 }

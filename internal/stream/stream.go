@@ -3,6 +3,13 @@
 // interface implemented by the synthetic generators, surrogate data sets
 // and in-memory replays. It also provides CSV encoding and decoding so
 // streams can be materialised to disk and replayed.
+//
+// Batches drawn from an in-memory stream (Memory, and so ReadCSV's
+// result) through NextBatch or NextBatchContext share the stream's rows
+// instead of copying them, which keeps prequential evaluation free of
+// per-row allocation; Memory.Next still hands out a private copy. Rows in
+// a batch are therefore read-only to whoever consumes it — learners
+// included (see model.Classifier).
 package stream
 
 import (
@@ -58,6 +65,15 @@ func (k FeatureKind) Validate() error {
 	}
 	if k.Levels != nil && len(k.Levels) != k.Cardinality {
 		return fmt.Errorf("categorical kind names %d of %d levels", len(k.Levels), k.Cardinality)
+	}
+	// A level name stands for exactly one code; a repeated name would
+	// read back as a different code than the one written.
+	seen := make(map[string]int, len(k.Levels))
+	for code, name := range k.Levels {
+		if prev, ok := seen[name]; ok {
+			return fmt.Errorf("categorical kind names levels %d and %d both %q", prev, code, name)
+		}
+		seen[name] = code
 	}
 	return nil
 }
@@ -186,9 +202,11 @@ type Batch struct {
 // Len returns the number of rows.
 func (b Batch) Len() int { return len(b.Y) }
 
-// Slice returns rows [lo, hi) without copying the underlying data.
+// Slice returns rows [lo, hi) without copying the underlying data. The
+// result's capacity ends at hi, so an append to it allocates instead of
+// overwriting the parent's row hi.
 func (b Batch) Slice(lo, hi int) Batch {
-	return Batch{X: b.X[lo:hi], Y: b.Y[lo:hi]}
+	return Batch{X: b.X[lo:hi:hi], Y: b.Y[lo:hi:hi]}
 }
 
 // CheckCode validates one categorical cell value against a declared
@@ -277,8 +295,10 @@ func NextWithContext(ctx context.Context, s Stream) (Instance, error) {
 	return s.Next()
 }
 
-// NextBatch draws up to n instances from s into a fresh batch. It returns
-// ErrEnd only when no instance at all could be drawn.
+// NextBatch draws up to n instances from s. It returns ErrEnd only when
+// no instance at all could be drawn. From a *Memory the batch is a view
+// of the stream's rows (see NextBatchContext); from any other stream it
+// is a fresh batch.
 func NextBatch(s Stream, n int) (Batch, error) {
 	return NextBatchContext(context.Background(), s, n)
 }
@@ -286,7 +306,17 @@ func NextBatch(s Stream, n int) (Batch, error) {
 // NextBatchContext is NextBatch with cancellation: the context is checked
 // before every instance, and its error aborts the batch immediately (the
 // partial batch is dropped — a cancelled run must not train on it).
+//
+// A *Memory hands out a view instead: after one context check the batch
+// is the next rows of its backing data, shared and not copied, and
+// nothing is allocated. Its capacity ends at its last row, so an append
+// cannot reach the stream's later rows, but its rows are the stream's own
+// and must only be read. Every other stream is drawn row by row into a
+// fresh batch.
 func NextBatchContext(ctx context.Context, s Stream, n int) (Batch, error) {
+	if m, ok := s.(*Memory); ok {
+		return m.nextView(ctx, n)
+	}
 	b := Batch{X: make([][]float64, 0, n), Y: make([]int, 0, n)}
 	for i := 0; i < n; i++ {
 		inst, err := NextWithContext(ctx, s)
@@ -305,7 +335,8 @@ func NextBatchContext(ctx context.Context, s Stream, n int) (Batch, error) {
 	return b, nil
 }
 
-// Take materialises up to n instances into memory.
+// Take materialises up to n instances into memory. From a Memory it is a
+// view of the stream's rows, like NextBatch.
 func Take(s Stream, n int) Batch {
 	b, err := NextBatch(s, n)
 	if err != nil {
@@ -315,16 +346,34 @@ func Take(s Stream, n int) Batch {
 }
 
 // Memory is an in-memory stream replaying a fixed batch. It implements
-// Stream and Sized.
+// Stream and Sized. Next hands out a private copy of each row; NextBatch
+// and NextBatchContext hand out views that share the backing rows.
 type Memory struct {
 	schema Schema
 	data   Batch
 	pos    int
 }
 
-// NewMemory wraps data in a replayable stream. The batch is not copied.
+// NewMemory wraps data in a replayable stream. The batch is not copied:
+// batches drawn with NextBatch share its rows, so neither the caller nor
+// a learner fed from the stream may write to them while it is in use.
 func NewMemory(schema Schema, data Batch) *Memory {
 	return &Memory{schema: schema, data: data}
+}
+
+// nextView returns rows [pos, min(pos+n, Len)) of the backing batch and
+// advances past them. It returns ErrEnd once the stream is exhausted and
+// for n <= 0, and ctx.Err() for a done context, neither advancing.
+func (m *Memory) nextView(ctx context.Context, n int) (Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return Batch{}, err
+	}
+	if n <= 0 || m.pos >= m.data.Len() {
+		return Batch{}, ErrEnd
+	}
+	lo, hi := m.pos, min(m.pos+n, m.data.Len())
+	m.pos = hi
+	return m.data.Slice(lo, hi), nil
 }
 
 // Schema implements Stream.

@@ -278,7 +278,9 @@ func Prequential(c Classifier, s Stream, opts EvalOptions) (EvalResult, error) {
 	return eval.Prequential(c, s, opts)
 }
 
-// NewMemoryStream wraps in-memory data in a replayable stream.
+// NewMemoryStream wraps in-memory data in a replayable stream. The data
+// is not copied: batches drawn from the stream (NextBatch, Prequential)
+// share its rows, while Next hands out a copy of each row.
 func NewMemoryStream(schema Schema, data Batch) Stream { return stream.NewMemory(schema, data) }
 
 // LimitStream caps a stream at n instances.
@@ -288,7 +290,8 @@ func LimitStream(s Stream, n int) Stream { return stream.NewLimit(s, n) }
 func WriteCSVStream(w io.Writer, s Stream) (int, error) { return stream.WriteCSV(w, s) }
 
 // ReadCSVStream loads a CSV stream into a replayable in-memory stream.
-// numClasses 0 infers the class count from the labels.
+// numClasses 0 infers the class count from the labels. Like
+// NewMemoryStream, its batches share the loaded rows and Next copies.
 func ReadCSVStream(r io.Reader, name string, numClasses int) (Stream, error) {
 	return stream.ReadCSV(r, name, numClasses)
 }

@@ -28,13 +28,16 @@ func NextWithContext(ctx context.Context, s Stream) (Instance, error) {
 	return stream.NextWithContext(ctx, s)
 }
 
-// NextBatch draws up to n instances from s into a fresh batch, returning
-// ErrEndOfStream only when nothing at all could be drawn — the building
-// block of hand-rolled training loops (see cmd/dmtserve).
+// NextBatch draws up to n instances from s, returning ErrEndOfStream only
+// when nothing at all could be drawn — the building block of hand-rolled
+// training loops (see cmd/dmtserve). From an in-memory stream
+// (NewMemoryStream, ReadCSVStream) the batch shares the stream's rows,
+// which must then only be read; from any other stream it is fresh.
 func NextBatch(s Stream, n int) (Batch, error) { return stream.NextBatch(s, n) }
 
 // NextBatchContext is NextBatch with cancellation checked before every
-// instance; a cancelled context drops the partial batch.
+// instance (once, for an in-memory stream); a cancelled context drops the
+// partial batch.
 func NextBatchContext(ctx context.Context, s Stream, n int) (Batch, error) {
 	return stream.NextBatchContext(ctx, s, n)
 }
