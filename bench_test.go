@@ -306,7 +306,7 @@ func linearBenchBatches(m, count, size int, seed int64) []stream.Batch {
 
 // BenchmarkLearnOp measures one steady-state DMT Learn call (100-row
 // batch) across feature widths. This is the acceptance benchmark of the
-// candidate-index optimisation; `make bench` records it in BENCH_PR2.json.
+// candidate-index optimisation.
 func BenchmarkLearnOp(b *testing.B) {
 	for _, m := range []int{10, 50, 200} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
@@ -341,8 +341,7 @@ func BenchmarkVFDTLearnOneOp(b *testing.B) {
 }
 
 // BenchmarkHoeffdingLearnOp measures one warmed VFDT LearnOne call across
-// feature widths (the ensemble weak-learner hot path). `make bench`
-// records it in BENCH_PR3.json.
+// feature widths (the ensemble weak-learner hot path).
 func BenchmarkHoeffdingLearnOp(b *testing.B) {
 	for _, m := range []int{10, 50} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
@@ -383,8 +382,7 @@ func BenchmarkHoeffdingPredictOp(b *testing.B) {
 // background goroutine trains the same scorer continuously, so the
 // locked variant pays the RWMutex write-lock hold of every Learn while
 // the snapshot variant reads the published snapshot wait-free. This is
-// the acceptance benchmark of the lock-free serving rework; `make
-// bench` records it in BENCH_PR4.json.
+// the acceptance benchmark of the lock-free serving rework.
 func BenchmarkScorerReadOp(b *testing.B) {
 	schema := stream.Schema{NumFeatures: 50, NumClasses: 2, Name: "bench"}
 	for _, mode := range []string{"locked", "snapshot"} {
@@ -539,8 +537,7 @@ func BenchmarkGLMStepOp(b *testing.B) {
 
 // BenchmarkEnsembleLearnOp measures one ensemble Learn call on a 100-row
 // batch for both paper ensembles (3 VFDT members each). This is the
-// acceptance benchmark of the parallel member fan-out; `make bench`
-// records it in BENCH_PR3.json.
+// acceptance benchmark of the parallel member fan-out.
 func BenchmarkEnsembleLearnOp(b *testing.B) {
 	schema := stream.Schema{NumFeatures: 10, NumClasses: 2, Name: "bench"}
 	builders := []struct {

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"io"
 
 	"repro/internal/model"
@@ -60,53 +59,3 @@ func Load(r io.Reader) (Classifier, error) { return persist.Load(r) }
 // learners ship with their loaders; this is only needed for external
 // models.
 func RegisterLoader(name string, l ModelLoader) { registry.RegisterLoader(name, l) }
-
-// Delta checkpoints: beside the full envelope, Save's output can be
-// diffed into "REPRODLT" delta envelopes keyed by the models'
-// StructureVersions, so a serving replica or a resume transfers only
-// what changed. Applying a base plus its delta chain is byte-identical
-// to the full save at the head version — per-delta base/result
-// checksums enforce it, the version keys reject gaps and reordering.
-
-// Delta is one delta envelope: a verified binary patch between two full
-// checkpoint envelopes of the same model.
-type Delta = persist.Delta
-
-// DeltaHeader is the self-describing metadata of a Delta.
-type DeltaHeader = persist.DeltaHeader
-
-// MakeDelta computes the delta between two full checkpoint envelopes
-// given as their verbatim wire bytes (two Save outputs).
-func MakeDelta(base, target []byte) (*Delta, error) { return persist.MakeDelta(base, target) }
-
-// SaveDelta computes and writes the delta envelope turning the full
-// checkpoint bytes base into target.
-func SaveDelta(w io.Writer, base, target []byte) error {
-	d, err := persist.MakeDelta(base, target)
-	if err != nil {
-		return err
-	}
-	return persist.WriteDelta(w, d)
-}
-
-// ReadDelta reads exactly one delta envelope; deltas and full envelopes
-// stack on one stream, distinguished by magic.
-func ReadDelta(r io.Reader) (*Delta, error) { return persist.ReadDelta(r) }
-
-// ApplyDeltaChain applies a chain of consecutive deltas to a base full
-// envelope with strict validation (base pin, per-link checksums, version
-// continuity) and returns the reconstructed full envelope bytes —
-// byte-identical to the full save at the head version.
-func ApplyDeltaChain(base []byte, deltas ...*Delta) ([]byte, error) {
-	return persist.ApplyChain(base, deltas...)
-}
-
-// LoadDelta reconstructs the head model from a base full envelope plus
-// its delta chain — the delta-aware Load.
-func LoadDelta(base []byte, deltas ...*Delta) (Classifier, error) {
-	head, err := persist.ApplyChain(base, deltas...)
-	if err != nil {
-		return nil, err
-	}
-	return persist.Load(bytes.NewReader(head))
-}

@@ -16,7 +16,6 @@
 // GET /v1/envelope?since=<installed> and applies the structural diffs to
 // the envelope bytes it already holds, falling back to a full fetch when
 // the trainer has compacted the base or a chain fails validation.
-// -no-delta forces full envelopes on every install.
 //
 // Endpoints on either role: POST /v1/predict, POST /v1/predict_batch,
 // POST /v1/swap, GET /v1/envelope, GET /healthz, GET /statusz.
@@ -81,7 +80,6 @@ func main() {
 		publish   = flag.Int("publish", 1, "snapshot publish cadence in batches")
 		ckptPath  = flag.String("checkpoint", "", "bootstrap the model from this checkpoint file instead of training fresh")
 		follow    = flag.String("follow", "", "replica mode: bootstrap from and follow this trainer URL")
-		noDelta   = flag.Bool("no-delta", false, "replica mode: always fetch full envelopes instead of negotiating delta chains")
 		interval  = flag.Duration("interval", 500*time.Millisecond, "replica poll interval")
 		wait      = flag.Duration("wait", 10*time.Second, "replica long-poll duration (0 = plain polling)")
 		window    = flag.Duration("window", time.Millisecond, "longest a /v1/predict batch waits for a single-row request already on its way; an isolated request never waits (negative: never wait)")
@@ -147,7 +145,7 @@ func main() {
 		runReplica(ctx, replicaOpts{
 			addr: *addr, trainerURL: *follow, id: id, advertise: adv,
 			publish: *publish, interval: *interval, wait: *wait,
-			heartbeat: *heartbeat, cfg: cfg, chaos: chaos, noDelta: *noDelta,
+			heartbeat: *heartbeat, cfg: cfg, chaos: chaos,
 		})
 		return
 	}
@@ -187,25 +185,14 @@ func runTrainer(ctx context.Context, addr, modelName, dsName, ckptPath string, s
 		}
 	}
 
-	go func() {
-		rows := 0
-		for ctx.Err() == nil {
-			b, err := repro.NextBatchContext(ctx, strm, batchSize)
-			if errors.Is(err, repro.ErrEndOfStream) {
-				strm.Reset()
-				continue
-			}
-			if err != nil {
-				return
-			}
-			scorer.Learn(b)
-			rows += b.Len()
-			if rows%100000 < batchSize {
-				v, _ := scorer.StructureVersion()
-				fmt.Fprintf(os.Stderr, "dmtserve: trained %d rows, structure version %d\n", rows, v)
-			}
+	rows := 0
+	go learn(ctx, scorer, strm, batchSize, 0, func(b repro.Batch) {
+		rows += b.Len()
+		if rows%100000 < batchSize {
+			v, _ := scorer.StructureVersion()
+			fmt.Fprintf(os.Stderr, "dmtserve: trained %d rows, structure version %d\n", rows, v)
 		}
-	}()
+	})
 
 	fmt.Fprintf(os.Stderr, "dmtserve: trainer serving %s on %s (dataset %s)\n", scorer.Name(), addr, dsName)
 	ps := repro.NewPredictionServer(scorer, cfg)
@@ -238,7 +225,6 @@ type replicaOpts struct {
 	heartbeat  time.Duration
 	cfg        repro.ServerConfig
 	chaos      *repro.FaultInjector
-	noDelta    bool
 }
 
 // runReplica bootstraps a scorer from the trainer's envelope, serves
@@ -288,7 +274,6 @@ func runReplica(ctx context.Context, o replicaOpts) {
 		Interval:  o.interval,
 		Wait:      o.wait,
 		Transport: transport,
-		NoDelta:   o.noDelta,
 		Drainer:   ps, // not-ready while an envelope installs
 		OnInstall: func(v uint64) {
 			fmt.Fprintf(os.Stderr, "dmtserve: installed envelope at version %d\n", v)
@@ -301,9 +286,7 @@ func runReplica(ctx context.Context, o replicaOpts) {
 		},
 	})
 	ps.SetStalenessSource(f) // degraded responses carry X-Repro-Staleness
-	if !o.noDelta {
-		f.SeedInstalled(v, bootRaw)
-	}
+	f.SeedInstalled(v, bootRaw)
 	go f.Run(ctx)
 	go repro.RunHeartbeats(ctx, nil, o.trainerURL, o.heartbeat, func() repro.ReplicaAnnounce {
 		iv, hasV := f.InstalledVersion()
@@ -337,16 +320,8 @@ func runSmoke(cfg repro.ServerConfig) error {
 		return err
 	}
 	// Warm the model so the swap envelope below has structure in it.
-	for i := 0; i < 100; i++ {
-		b, err := repro.NextBatch(strm, 100)
-		if errors.Is(err, repro.ErrEndOfStream) {
-			strm.Reset()
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		scorer.Learn(b)
+	if err := learn(context.Background(), scorer, strm, 100, 100, nil); err != nil {
+		return err
 	}
 	var env bytes.Buffer
 	if err := scorer.Checkpoint(&env); err != nil {
@@ -358,27 +333,17 @@ func runSmoke(cfg repro.ServerConfig) error {
 	ts := httptest.NewServer(ps.Handler())
 	defer ts.Close()
 
-	// Keep training while the traffic runs.
-	trainCtx, stopTraining := context.WithCancel(context.Background())
-	defer stopTraining()
-	go func() {
-		for trainCtx.Err() == nil {
-			b, err := repro.NextBatchContext(trainCtx, strm, 100)
-			if errors.Is(err, repro.ErrEndOfStream) {
-				strm.Reset()
-				continue
-			}
-			if err != nil {
-				return
-			}
-			scorer.Learn(b)
-		}
-	}()
-
+	// Draw the probe rows before training starts: a stream is not safe
+	// for concurrent draws.
 	probe, err := repro.NextBatch(strm, 32)
 	if err != nil {
 		return err
 	}
+	// Keep training while the traffic runs.
+	trainCtx, stopTraining := context.WithCancel(context.Background())
+	defer stopTraining()
+	go learn(trainCtx, scorer, strm, 100, 0, nil)
+
 	const (
 		workers  = 8
 		requests = 400
@@ -431,13 +396,7 @@ func runSmoke(cfg repro.ServerConfig) error {
 	}
 
 	// The status page must reflect the traffic and the swap.
-	resp, err = http.Get(ts.URL + "/statusz")
-	if err != nil {
-		return err
-	}
-	var st repro.ServerStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, err := getStatus(ts.URL)
 	if err != nil {
 		return err
 	}
@@ -468,21 +427,7 @@ func runChaosSmoke(cfg repro.ServerConfig, chaos *repro.FaultInjector) error {
 	if err != nil {
 		return err
 	}
-	learn := func(batches int) error {
-		for i := 0; i < batches; i++ {
-			b, err := repro.NextBatch(strm, 100)
-			if errors.Is(err, repro.ErrEndOfStream) {
-				strm.Reset()
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			trainer.Learn(b)
-		}
-		return nil
-	}
-	if err := learn(100); err != nil {
+	if err := learn(context.Background(), trainer, strm, 100, 100, nil); err != nil {
 		return err
 	}
 
@@ -543,38 +488,11 @@ func runChaosSmoke(cfg repro.ServerConfig, chaos *repro.FaultInjector) error {
 	if err != nil {
 		return err
 	}
-	hammerStop := make(chan struct{})
-	var reads, readFailures atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-hammerStop:
-					return
-				default:
-				}
-				body, _ := json.Marshal(map[string]any{"x": probe.X[(w+i)%len(probe.X)]})
-				resp, err := http.Post(replicaTS.URL+"/v1/predict", "application/json", bytes.NewReader(body))
-				if err != nil {
-					readFailures.Add(1)
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					readFailures.Add(1)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				reads.Add(1)
-			}
-		}(w)
-	}
+	h := startHammer(replicaTS.URL, probe.X)
 
 	// Keep training so envelope versions move while faults fire, then
 	// freeze the trainer and require convergence to its final version.
-	if err := learn(200); err != nil {
+	if err := learn(context.Background(), trainer, strm, 100, 200, nil); err != nil {
 		return err
 	}
 	// Let chaos traffic accumulate until every rule has had real
@@ -596,16 +514,15 @@ func runChaosSmoke(cfg repro.ServerConfig, chaos *repro.FaultInjector) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(hammerStop)
-	wg.Wait()
+	h.stop()
 	stopFollow()
 	<-followDone
 
 	st := f.Stats()
-	if n := readFailures.Load(); n != 0 {
-		return fmt.Errorf("%d of %d replica reads failed under chaos", n, reads.Load())
+	if n := h.failures.Load(); n != 0 {
+		return fmt.Errorf("%d of %d replica reads failed under chaos", n, h.reads.Load())
 	}
-	if reads.Load() == 0 {
+	if h.reads.Load() == 0 {
 		return fmt.Errorf("prediction hammer never ran")
 	}
 	if chaos.InjectedTotal() == 0 {
@@ -621,7 +538,7 @@ func runChaosSmoke(cfg repro.ServerConfig, chaos *repro.FaultInjector) error {
 		return fmt.Errorf("installs happened but the delta path never engaged: %+v", st)
 	}
 	fmt.Fprintf(os.Stderr, "dmtserve: chaos smoke: %d faults over %d requests (%s), %d reads ok, converged at version %d; %d installs (%d via delta, %d delta fallbacks); follow errors dial=%d timeout=%d status=%d decode=%d restore=%d, %d breaker opens\n",
-		chaos.InjectedTotal(), chaos.Seen(), chaos, reads.Load(), finalV,
+		chaos.InjectedTotal(), chaos.Seen(), chaos, h.reads.Load(), finalV,
 		st.Installs, st.DeltaInstalls, st.DeltaFallbacks,
 		st.DialErrors, st.TimeoutErrors, st.StatusErrors, st.DecodeErrors, st.RestoreErrors, st.BreakerOpens)
 	return nil
@@ -665,34 +582,7 @@ func runRaceSmoke(cfg repro.ServerConfig, spec string, seed int64) error {
 
 	// Hammer the racer while it trains through every drift: leader swaps
 	// must never surface as request errors.
-	hammerStop := make(chan struct{})
-	var reads, readFailures atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-hammerStop:
-					return
-				default:
-				}
-				body, _ := json.Marshal(map[string]any{"x": probe.X[(w+i)%len(probe.X)]})
-				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
-				if err != nil {
-					readFailures.Add(1)
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					readFailures.Add(1)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				reads.Add(1)
-			}
-		}(w)
-	}
+	h := startHammer(ts.URL, probe.X)
 
 	for {
 		b, err := repro.NextBatch(strm, 100)
@@ -700,8 +590,7 @@ func runRaceSmoke(cfg repro.ServerConfig, spec string, seed int64) error {
 			break
 		}
 		if err != nil {
-			close(hammerStop)
-			wg.Wait()
+			h.stop()
 			return err
 		}
 		scorer.Learn(b)
@@ -709,26 +598,19 @@ func runRaceSmoke(cfg repro.ServerConfig, spec string, seed int64) error {
 	// Training can outrun the HTTP hammer; keep serving until the hammer
 	// has produced a meaningful request count (time-bounded).
 	deadline := time.Now().Add(10 * time.Second)
-	for reads.Load() < 400 && time.Now().Before(deadline) {
+	for h.reads.Load() < 400 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(hammerStop)
-	wg.Wait()
+	h.stop()
 
-	if n := readFailures.Load(); n != 0 {
-		return fmt.Errorf("%d of %d predictions failed during the race", n, reads.Load())
+	if n := h.failures.Load(); n != 0 {
+		return fmt.Errorf("%d of %d predictions failed during the race", n, h.reads.Load())
 	}
-	if reads.Load() == 0 {
+	if h.reads.Load() == 0 {
 		return fmt.Errorf("prediction hammer never ran")
 	}
 
-	resp, err := http.Get(ts.URL + "/statusz")
-	if err != nil {
-		return err
-	}
-	var st repro.ServerStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	st, err := getStatus(ts.URL)
 	if err != nil {
 		return err
 	}
@@ -742,11 +624,89 @@ func runRaceSmoke(cfg repro.ServerConfig, spec string, seed int64) error {
 		return fmt.Errorf("leader never changed across %d rows and %d re-races — the race proved nothing", st.Race.Rows, st.Race.ReRaces)
 	}
 	if st.ServedRows == 0 {
-		return fmt.Errorf("statusz reports no served rows after %d requests", reads.Load())
+		return fmt.Errorf("statusz reports no served rows after %d requests", h.reads.Load())
 	}
 	fmt.Fprintf(os.Stderr, "dmtserve: race smoke: %s served %d reads over %d rows, %d re-races, %d leader changes (%d drift-triggered), final leader %s\n",
-		scorer.Name(), reads.Load(), st.Race.Rows, st.Race.ReRaces, st.Race.LeaderChanges, st.Race.DriftChanges, st.Race.Leader)
+		scorer.Name(), h.reads.Load(), st.Race.Rows, st.Race.ReRaces, st.Race.LeaderChanges, st.Race.DriftChanges, st.Race.Leader)
 	return nil
+}
+
+// learn trains s on size-row batches of strm until ctx ends or, when
+// batches > 0, after that many draws; a stream that runs dry is replayed
+// from its start. onBatch, when non-nil, sees every learned batch.
+func learn(ctx context.Context, s repro.Scorer, strm repro.Stream, size, batches int, onBatch func(repro.Batch)) error {
+	for i := 0; batches <= 0 || i < batches; i++ {
+		b, err := repro.NextBatchContext(ctx, strm, size)
+		if errors.Is(err, repro.ErrEndOfStream) {
+			strm.Reset()
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		s.Learn(b)
+		if onBatch != nil {
+			onBatch(b)
+		}
+	}
+	return nil
+}
+
+// hammer posts single-row JSON predictions from four workers, cycling
+// through its rows, until stop. reads counts the requests that got a
+// response, failures the transport errors and non-200 answers.
+type hammer struct {
+	reads, failures atomic.Uint64
+	done            chan struct{}
+	wg              sync.WaitGroup
+}
+
+func startHammer(url string, rows [][]float64) *hammer {
+	h := &hammer{done: make(chan struct{})}
+	for w := 0; w < 4; w++ {
+		h.wg.Add(1)
+		go func(w int) {
+			defer h.wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-h.done:
+					return
+				default:
+				}
+				body, _ := json.Marshal(map[string]any{"x": rows[(w+i)%len(rows)]})
+				resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(body))
+				if err != nil {
+					h.failures.Add(1)
+					continue
+				}
+				if resp.StatusCode != http.StatusOK {
+					h.failures.Add(1)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				h.reads.Add(1)
+			}
+		}(w)
+	}
+	return h
+}
+
+// stop ends the hammer and waits for its workers.
+func (h *hammer) stop() {
+	close(h.done)
+	h.wg.Wait()
+}
+
+// getStatus fetches and decodes a server's /statusz page.
+func getStatus(url string) (repro.ServerStatus, error) {
+	var st repro.ServerStatus
+	resp, err := http.Get(url + "/statusz")
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st, err
 }
 
 func fail(err error) {

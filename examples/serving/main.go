@@ -318,8 +318,8 @@ func faultToleranceDemo() {
 // several structural advances installing delta chains instead of full
 // envelopes, and after each converged install the demo fetches both
 // wire formats for that version step — the delta the follower actually
-// transferred vs the full envelope a -no-delta follower would have
-// refetched. The reconstruction is CRC-pinned end to end, so the
+// transferred vs the full envelope a follower without a delta base
+// would have refetched. The reconstruction is CRC-pinned end to end, so the
 // delta-converged replica's checkpoint is byte-identical to the
 // trainer's envelope. (How much a delta saves depends on how much
 // learning happened between the versions it connects: a young VFDT
@@ -420,7 +420,7 @@ func deltaFollowDemo() {
 	}
 
 	st := follower.Stats()
-	fmt.Printf("delta follow: %d installs, %d via delta chain (%d fallbacks); %d bytes on the wire vs %d a -no-delta follower would have fetched\n",
+	fmt.Printf("delta follow: %d installs, %d via delta chain (%d fallbacks); %d bytes on the wire vs %d as full envelopes\n",
 		st.Installs, st.DeltaInstalls, st.DeltaFallbacks, deltaWire, fullWire)
 
 	// Byte-identical convergence: the replica's own checkpoint is the

@@ -93,10 +93,9 @@ func BenchmarkSnapshotOnlyOp(b *testing.B) {
 }
 
 // BenchmarkCheckpointBytesOp measures full-envelope checkpoint cost per
-// depth and reports the envelope size as a custom ckpt-bytes metric
-// (surfaced through cmd/benchjson's Extra map). The post-change
-// delta-checkpoint benchmarks report delta-bytes next to this for the
-// full-vs-delta state-transfer comparison.
+// depth and reports the envelope size as a custom ckpt-bytes metric.
+// The delta-checkpoint benchmarks report delta-bytes next to this for
+// the full-vs-delta state-transfer comparison.
 func BenchmarkCheckpointBytesOp(b *testing.B) {
 	for _, d := range benchDepths {
 		b.Run(fmt.Sprintf("depth=%d", d), func(b *testing.B) {

@@ -48,11 +48,6 @@ type Options struct {
 	// probabilistic interface report 0). Off by default so the timing
 	// columns of Table V measure exactly the paper's protocol.
 	LogLoss bool
-	// AfterTrain, when non-nil, runs after each iteration's training
-	// step, outside the timed region (instrumentation — model-state
-	// checkpointing — must not inflate the Table V Seconds column). A
-	// returned error aborts the run.
-	AfterTrain func(iter int, c model.Classifier) error
 }
 
 func (o Options) withDefaults() Options {
@@ -259,11 +254,6 @@ func PrequentialContext(ctx context.Context, c model.Classifier, s stream.Stream
 			Params:   comp.Params,
 			Seconds:  elapsed,
 		})
-		if opts.AfterTrain != nil {
-			if err := opts.AfterTrain(iter, c); err != nil {
-				return res, fmt.Errorf("eval: after-train hook at iteration %d: %w", iter, err)
-			}
-		}
 	}
 	return res, nil
 }

@@ -80,16 +80,6 @@ type Runner struct {
 	// cells by determinism. Files whose configuration does not match are
 	// ignored and the cell re-runs.
 	Resume bool
-	// ModelCheckpointEvery, when > 0 together with CheckpointDir,
-	// additionally records the model's own state every N prequential
-	// iterations into a per-cell "<cell>.model" stream: full checkpoint
-	// envelopes as keyframes, REPRODLT delta envelopes between them
-	// (replayable with ReplayModelStream). 0 disables model streams.
-	ModelCheckpointEvery int
-	// KeyframeEvery is the model-stream keyframe cadence: every N-th
-	// capture is a full envelope, the captures between are deltas
-	// against their predecessor (default 16).
-	KeyframeEvery int
 	// Progress, when non-nil, receives one line per finished cell.
 	Progress io.Writer
 }
@@ -190,33 +180,10 @@ func (r Runner) Run(ctx context.Context, cells []Cell) (*SuiteResult, error) {
 		if err != nil {
 			return err
 		}
-		opts := Options{
+		res, err := PrequentialContext(ctx, clf, strm, Options{
 			BatchFraction: r.BatchFraction,
 			MinBatchSize:  r.MinBatchSize,
-		}
-		var ms *modelStream
-		var msTmp *os.File
-		if r.CheckpointDir != "" && r.ModelCheckpointEvery > 0 {
-			msTmp, err = os.CreateTemp(r.CheckpointDir, ".model-*")
-			if err != nil {
-				return fmt.Errorf("eval: model stream %s/%s: %w", c.Dataset.Name, c.Model, err)
-			}
-			defer os.Remove(msTmp.Name())
-			defer msTmp.Close()
-			kf := r.KeyframeEvery
-			if kf <= 0 {
-				kf = 16
-			}
-			ms = newModelStream(msTmp, kf)
-			every := r.ModelCheckpointEvery
-			opts.AfterTrain = func(iter int, c model.Classifier) error {
-				if (iter+1)%every != 0 {
-					return nil
-				}
-				return ms.capture(c)
-			}
-		}
-		res, err := PrequentialContext(ctx, clf, strm, opts)
+		})
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancelled mid-cell: not a cell failure. The partial
@@ -228,19 +195,6 @@ func (r Runner) Run(ctx context.Context, cells []Cell) (*SuiteResult, error) {
 		if r.CheckpointDir != "" {
 			if err := r.saveCell(c, scale, res); err != nil {
 				return err
-			}
-		}
-		if ms != nil {
-			// The final state is always recorded, so replaying the stream's
-			// tail reconstructs exactly the model the run finished with.
-			if err := ms.capture(clf); err != nil {
-				return fmt.Errorf("eval: model stream %s/%s: %w", c.Dataset.Name, c.Model, err)
-			}
-			if err := msTmp.Close(); err != nil {
-				return fmt.Errorf("eval: model stream %s/%s: %w", c.Dataset.Name, c.Model, err)
-			}
-			if err := os.Rename(msTmp.Name(), r.modelFile(c)); err != nil {
-				return fmt.Errorf("eval: model stream %s/%s: %w", c.Dataset.Name, c.Model, err)
 			}
 		}
 		mu.Lock()
@@ -336,12 +290,6 @@ func sanitizeComponent(s string) string {
 // cellFile returns the checkpoint path of a cell.
 func (r Runner) cellFile(c Cell) string {
 	name := fmt.Sprintf("%s__%s__%d.cell", sanitizeComponent(c.Dataset.Name), sanitizeComponent(c.Model), c.Seed)
-	return filepath.Join(r.CheckpointDir, name)
-}
-
-// modelFile returns the model-state stream path of a cell.
-func (r Runner) modelFile(c Cell) string {
-	name := fmt.Sprintf("%s__%s__%d.model", sanitizeComponent(c.Dataset.Name), sanitizeComponent(c.Model), c.Seed)
 	return filepath.Join(r.CheckpointDir, name)
 }
 

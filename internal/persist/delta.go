@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -11,15 +10,16 @@ import (
 
 // Delta envelopes: incremental checkpoints beside the full "REPROCKP"
 // format. A delta is a binary patch from one full envelope's wire bytes
-// to another's, keyed by the models' StructureVersions, so a serving
-// replica or a resume can catch up from its last known state instead of
-// transferring full state. Applying a base plus its delta chain is
-// byte-identical to the full save at the head version — the per-delta
-// base/result CRCs enforce it, the version keys detect gaps and
-// reordering before any patching happens.
+// to another's, keyed by the models' StructureVersions. Their one use is
+// replica follow: a trainer's GET /v1/envelope?since=V answers with the
+// chain of deltas from V to its head, so a replica catches up from its
+// last installed state instead of transferring full state. Applying a
+// base plus its delta chain is byte-identical to the full save at the
+// head version — the per-delta base/result CRCs enforce it, the version
+// keys detect gaps and reordering before any patching happens.
 //
-// Wire layout (exact sizes, so deltas stack on one stream and mix with
-// full envelopes, distinguished by magic):
+// Wire layout (exact sizes, so the deltas of a chain stack on one
+// stream):
 //
 //	magic   [8]byte  "REPRODLT"
 //	hlen    uint32   big-endian length of the gob-encoded header
@@ -124,7 +124,7 @@ func WriteDelta(w io.Writer, d *Delta) error {
 
 // ReadDelta reads exactly one delta envelope from r, verifying magic,
 // version and patch checksum. Like ReadEnvelope it consumes precisely
-// the envelope's bytes, so full and delta envelopes stack on one stream.
+// the envelope's bytes, so the deltas of a chain stack on one stream.
 func ReadDelta(r io.Reader) (*Delta, error) {
 	var h DeltaHeader
 	if _, err := readHead(r, DeltaMagic, "delta", maxHeaderLen, &h); err != nil {
@@ -144,25 +144,6 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 		return nil, fmt.Errorf("persist: delta patch checksum mismatch (got %08x, header says %08x): corrupt delta", crc, h.PatchCRC)
 	}
 	return &Delta{Header: h, Patch: patch}, nil
-}
-
-// ReadDeltaRaw reads exactly one delta envelope off r, returning its
-// verbatim, fully validated wire bytes alongside the decoded header —
-// the relay primitive behind the server's delta-chain responses.
-func ReadDeltaRaw(r io.Reader) ([]byte, DeltaHeader, error) {
-	var buf bytes.Buffer
-	d, err := ReadDelta(io.TeeReader(r, &buf))
-	if err != nil {
-		return nil, DeltaHeader{}, err
-	}
-	return buf.Bytes(), d.Header, nil
-}
-
-// SniffDelta reports whether the next bytes of a buffered reader start a
-// delta envelope. It does not consume input.
-func SniffDelta(br *bufio.Reader) bool {
-	peek, err := br.Peek(len(DeltaMagic))
-	return err == nil && string(peek) == DeltaMagic
 }
 
 // Apply patches base (the verbatim wire bytes of the full envelope this

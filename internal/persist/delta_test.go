@@ -1,10 +1,8 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -259,23 +257,5 @@ func TestDeltaStructVersionInHeader(t *testing.T) {
 	}
 	if h2.HasStructVersion {
 		t.Fatal("versionless model claims a structure version")
-	}
-}
-
-func TestDeltaSniff(t *testing.T) {
-	_, deltas, _ := chain(t, 1)
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, deltas[0]); err != nil {
-		t.Fatal(err)
-	}
-	if crc32.ChecksumIEEE(buf.Bytes()) == 0 {
-		t.Fatal("empty wire")
-	}
-	br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
-	if !SniffDelta(br) {
-		t.Fatal("SniffDelta missed a delta envelope")
-	}
-	if SniffEnvelope(br) {
-		t.Fatal("SniffEnvelope claimed a delta envelope")
 	}
 }

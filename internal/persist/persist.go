@@ -31,11 +31,10 @@
 // they still frame, but no scorer restores them any more.
 //
 // Delta envelopes ("REPRODLT", see delta.go) patch one full envelope
-// into another.
+// into another; replica follow fetches them as ?since= chains.
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -297,12 +296,4 @@ func LoadEnvelope(env *Envelope) (model.Classifier, error) {
 		return nil, fmt.Errorf("persist: loader for %q reconstructed a model named %q: checkpoint/registration mismatch", h.Model, c.Name())
 	}
 	return c, nil
-}
-
-// SniffEnvelope reports whether the next bytes of a buffered reader
-// start a checkpoint envelope (as opposed to, e.g., a delta envelope).
-// It does not consume input.
-func SniffEnvelope(br *bufio.Reader) bool {
-	peek, err := br.Peek(len(Magic))
-	return err == nil && string(peek) == Magic
 }

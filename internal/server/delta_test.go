@@ -91,6 +91,71 @@ func TestEnvelopeSinceServesDeltaChain(t *testing.T) {
 	}
 }
 
+// A ?since= base several captured versions back answers with one link
+// per captured structure change, stacked in one body: the header count
+// matches the links the body holds, and both persist.ApplyChain and the
+// follower's own chain reader rebuild the full head envelope byte for
+// byte.
+func TestEnvelopeSinceServesMultiLinkChain(t *testing.T) {
+	trainer := newTrainedScorer(t, 120)
+	_, ts := newTestServer(t, trainer, Config{})
+
+	raw0, v0, err := Fetch(context.Background(), http.DefaultClient, ts.URL, ^uint64(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Capture three structure changes past v0: each full fetch records
+	// its version in the trainer's delta history.
+	cur := v0
+	var rawFull []byte
+	for i := 0; i < 3; i++ {
+		cur = advanceVersion(t, trainer, cur, int64(61+i))
+		var v uint64
+		rawFull, v, err = Fetch(context.Background(), http.DefaultClient, ts.URL, ^uint64(0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != cur {
+			t.Fatalf("full fetch at version %d, trainer is at %d", v, cur)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/envelope?since=" + strconv.FormatUint(v0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeDeltaChain {
+		t.Fatalf("?since=%d answered with content type %q, want a delta chain", v0, ct)
+	}
+	links := parseChain(t, chain)
+	n, err := strconv.Atoi(resp.Header.Get(DeltaCountHeader))
+	if err != nil || n < 2 || n != len(links) {
+		t.Fatalf("%s = %q, body holds %d links; want the same count, at least 2", DeltaCountHeader, resp.Header.Get(DeltaCountHeader), len(links))
+	}
+	got, err := persist.ApplyChain(raw0, links...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, rawFull) {
+		t.Fatal("base+chain is not byte-identical to the full envelope")
+	}
+
+	f := NewFollower(ts.URL, newTrainedScorer(t, 1), FollowConfig{})
+	f.SeedInstalled(v0, raw0)
+	head, err := f.applyDeltaChain(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(head, rawFull) {
+		t.Fatal("the follower's chain reader does not rebuild the full envelope")
+	}
+}
+
 // A base that has been compacted out of the bounded history answers
 // with a full envelope, not an error.
 func TestEnvelopeSinceCompactedServesFull(t *testing.T) {

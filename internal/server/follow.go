@@ -130,12 +130,6 @@ type FollowConfig struct {
 	// EndDrain after — the replica reports not-ready while an envelope
 	// installs (drain on swap).
 	Drainer Drainer
-	// NoDelta disables delta negotiation: every fetch transfers a full
-	// envelope. Default off — a follower that still holds its last
-	// installed envelope bytes asks the trainer for a ?since= delta
-	// chain and falls back to a full fetch automatically when the chain
-	// cannot be served or applied.
-	NoDelta bool
 	// OnInstall, when non-nil, is called after each successful envelope
 	// install with the version it was stamped with.
 	OnInstall func(version uint64)
@@ -547,7 +541,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		var v uint64
 		var isDelta bool
 		var err error
-		if !f.cfg.NoDelta && f.lastRaw != nil && have != ^uint64(0) {
+		if f.lastRaw != nil && have != ^uint64(0) {
 			raw, v, isDelta, err = FetchSince(fctx, f.cfg.Client, f.baseURL, have, f.cfg.Wait, have)
 		} else {
 			raw, v, err = Fetch(fctx, f.cfg.Client, f.baseURL, have, f.cfg.Wait)
