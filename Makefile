@@ -3,7 +3,7 @@
 # linalg assembly kernels keeps building) + build + tests + a short race pass over the
 # concurrency-sensitive paths (Scorer, Runner, registry) + the
 # GOMAXPROCS=1 inline pass + a short fuzz pass + the benchmark module's
-# unit tests + the three dmtserve smokes.
+# unit tests + the three dmtserve smokes + the examples.
 #
 # `make bench-all` runs every benchmark once (-benchtime 1x): a check
 # that the benchmark harnesses still build and run, not a timing. The
@@ -31,6 +31,9 @@
 # input is written there. Minimizing a new input is capped at
 # FUZZMINTIME: the checkpoint seeds run to kilobytes, and minimizing one
 # under the default 60 s would spend the whole FUZZTIME without fuzzing.
+# `make examples` builds every program under examples/ once and runs
+# each; a nonzero exit fails the target. The serving and checkpointing
+# examples exit nonzero when their byte-identity claims do not hold.
 # `make bench-unit` vets and tests bench/dmtperf, which is its own
 # module and so is not reached by the root `go test ./...`.
 # `make inline` re-runs the pool-vs-inline identity tests and the
@@ -48,11 +51,11 @@ CHAOS_SEED ?= 7
 FUZZTIME ?= 10s
 FUZZMINTIME ?= 1s
 
-.PHONY: all ci vet build test race inline fuzz bench-unit bench-all serve-smoke chaos-smoke race-smoke fmt
+.PHONY: all ci vet build test race inline fuzz bench-unit bench-all serve-smoke chaos-smoke race-smoke examples fmt
 
 all: ci
 
-ci: fmt vet build test race inline fuzz bench-unit serve-smoke chaos-smoke race-smoke
+ci: fmt vet build test race inline fuzz bench-unit serve-smoke chaos-smoke race-smoke examples
 
 vet:
 	$(GO) vet ./...
@@ -93,6 +96,13 @@ chaos-smoke:
 
 race-smoke:
 	$(GO) run ./cmd/dmtserve -smoke -model 'race:glm,vfdt,nb'
+
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./examples/... && \
+	for bin in "$$dir"/*; do \
+		echo "== examples/$$(basename "$$bin")"; "$$bin" || exit 1; \
+	done
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" $$out; exit 1; fi

@@ -251,7 +251,7 @@ func runReplica(ctx context.Context, o replicaOpts) {
 	var bootRaw []byte
 	for attempt := 0; ; attempt++ {
 		var err error
-		scorer, v, bootRaw, err = repro.BootstrapScorerRaw(ctx, client, o.trainerURL, o.publish)
+		scorer, v, bootRaw, err = repro.BootstrapScorer(ctx, client, o.trainerURL, o.publish)
 		if err == nil {
 			break
 		}
@@ -447,7 +447,7 @@ func runChaosSmoke(cfg repro.ServerConfig, chaos *repro.FaultInjector) error {
 	var bootRaw []byte
 	for attempt := 0; ; attempt++ {
 		var err error
-		replica, bootV, bootRaw, err = repro.BootstrapScorerRaw(ctx, client, trainerTS.URL, 1)
+		replica, bootV, bootRaw, err = repro.BootstrapScorer(ctx, client, trainerTS.URL, 1)
 		if err == nil {
 			break
 		}

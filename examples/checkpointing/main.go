@@ -94,8 +94,12 @@ func modelCheckpointDemo() {
 			}
 		}
 		f1, _ := resResumed.F1()
+		sameComplexity := restored.Complexity() == control.Complexity()
 		fmt.Printf("%-12s second-half F1 %.3f; resumed vs uninterrupted: %d diverging predictions, complexity equal: %v\n",
-			name, f1, diverged, restored.Complexity() == control.Complexity())
+			name, f1, diverged, sameComplexity)
+		if diverged != 0 || !sameComplexity {
+			log.Fatalf("%s: the resumed model differs from the uninterrupted one", name)
+		}
 		os.Remove(ckptPath)
 	}
 }

@@ -127,18 +127,20 @@ func networkDemo() {
 	// envelope bytes over HTTP.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	replica, v0, err := repro.BootstrapScorer(ctx, trainerURL, 1)
+	replica, v0, raw0, err := repro.BootstrapScorer(ctx, nil, trainerURL, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("replica bootstrapped %s at structure version %d over HTTP\n", replica.Name(), v0)
 
 	installs := make(chan uint64, 16)
-	go repro.Follow(ctx, trainerURL, replica, repro.FollowConfig{
+	follower := repro.NewFollower(trainerURL, replica, repro.FollowConfig{
 		Interval:  10 * time.Millisecond,
 		Wait:      2 * time.Second,
 		OnInstall: func(v uint64) { installs <- v },
 	})
+	follower.SeedInstalled(v0, raw0)
+	go follower.Run(ctx)
 
 	// Replica reads keep flowing while the trainer advances and new
 	// envelopes install underneath them.
@@ -228,7 +230,7 @@ func faultToleranceDemo() {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	replica, _, err := repro.BootstrapScorer(ctx, trainerURL, 1)
+	replica, v0, raw0, err := repro.BootstrapScorer(ctx, nil, trainerURL, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -253,6 +255,7 @@ func faultToleranceDemo() {
 			evMu.Unlock()
 		},
 	})
+	follower.SeedInstalled(v0, raw0)
 	replicaPS.SetStalenessSource(follower)
 	go follower.Run(ctx)
 
@@ -353,9 +356,9 @@ func deltaFollowDemo() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// The raw bootstrap keeps the envelope bytes: seeding them into the
-	// follower is what lets its very first poll negotiate a delta chain.
-	replica, v0, raw0, err := repro.BootstrapScorerRaw(ctx, nil, trainerURL, 1)
+	// Seeding the bootstrap envelope bytes into the follower is what
+	// lets its very first poll negotiate a delta chain.
+	replica, v0, raw0, err := repro.BootstrapScorer(ctx, nil, trainerURL, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -429,7 +432,11 @@ func deltaFollowDemo() {
 	if err := replica.Checkpoint(&ckpt); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replica checkpoint == trainer envelope: %v\n", bytes.Equal(ckpt.Bytes(), fullBytes))
+	same := bytes.Equal(ckpt.Bytes(), fullBytes)
+	fmt.Printf("replica checkpoint == trainer envelope: %v\n", same)
+	if !same {
+		log.Fatal("delta-converged replica checkpoint differs from the trainer envelope")
+	}
 }
 
 // nextBatch pulls up to n instances into one batch.

@@ -159,11 +159,17 @@ func PrequentialContext(ctx context.Context, c model.Classifier, s stream.Stream
 	// MinBatchSize, floored at a value large enough for per-batch F1 to
 	// be meaningful.
 	const unsizedBatch = 64
-	var batch int
+	var batch, iters int
 	if sized, ok := s.(stream.Sized); ok {
 		batch = int(float64(sized.Len()) * opts.BatchFraction)
 		if batch < opts.MinBatchSize {
 			batch = opts.MinBatchSize
+		}
+		// A sized stream's iteration count is known up front: presize
+		// Result.Iters instead of regrowing it by append.
+		iters = (sized.Len() + batch - 1) / batch
+		if opts.MaxIters > 0 {
+			iters = min(iters, opts.MaxIters)
 		}
 	} else {
 		batch = opts.MinBatchSize
@@ -173,6 +179,9 @@ func PrequentialContext(ctx context.Context, c model.Classifier, s stream.Stream
 	}
 
 	res := Result{Model: c.Name(), Dataset: schema.Name}
+	if iters > 0 {
+		res.Iters = make([]IterStats, 0, iters)
+	}
 	conf := stats.NewConfusion(schema.NumClasses)
 	// One Proba out-buffer for the whole run: the scoring loop reuses it
 	// every row instead of allocating a fresh distribution per call.

@@ -63,6 +63,26 @@ func TestPrequentialMemoryAllocsPerBatch(t *testing.T) {
 	}
 }
 
+// Result.Iters is presized from a sized stream's length, so a run of
+// a hundred times the iterations allocates no more often.
+func TestPrequentialItersPresized(t *testing.T) {
+	allocs := func(batches int) float64 {
+		schema, data := harnessData(batches*16, 4)
+		c := &nopClassifier{}
+		opts := Options{BatchFraction: 1e-9, MinBatchSize: 16}
+		return testing.AllocsPerRun(20, func() {
+			res, err := Prequential(c, stream.NewMemory(schema, data), opts)
+			if err != nil || len(res.Iters) != batches || cap(res.Iters) != batches {
+				t.Fatalf("%d iterations (cap %d), %v; want %d", len(res.Iters), cap(res.Iters), err, batches)
+			}
+		})
+	}
+	few, many := allocs(20), allocs(2000)
+	if many > few {
+		t.Fatalf("20 iterations allocate %.0f times, 2000 iterations %.0f times", few, many)
+	}
+}
+
 // BenchmarkPrequentialMemoryOp times the evaluation harness alone: one
 // prequential pass over a 20k-row, 50-feature Memory in 0.1% batches,
 // with a classifier that does no work.

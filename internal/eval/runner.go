@@ -59,7 +59,8 @@ type Runner struct {
 	Scale float64
 	// BatchFraction is the prequential batch size (default 0.001).
 	BatchFraction float64
-	// MinBatchSize floors the batch size (default 32 on scaled streams).
+	// MinBatchSize floors the batch size; it is passed to Options as is,
+	// so 0 gets the Options default of 1 (Suite's default is 32).
 	MinBatchSize int
 	// Serve evaluates every cell through serve.New — the snapshot scorer
 	// repro.Serve and dmtserve use — instead of the bare classifier.

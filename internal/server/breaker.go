@@ -36,9 +36,8 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// breaker is the shared circuit-breaker core behind the Follower (one
-// breaker on its trainer) and the ReplicaSet (one per replica). The
-// zero value is not usable; build with newBreaker.
+// breaker is the circuit-breaker core behind the Follower (one breaker
+// on its trainer). The zero value is not usable; build with newBreaker.
 type breaker struct {
 	threshold int           // consecutive failures that open the circuit
 	cooldown  time.Duration // open -> half-open delay

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,7 +148,7 @@ func TestEnvelopeSinceServesMultiLinkChain(t *testing.T) {
 
 	f := NewFollower(ts.URL, newTrainedScorer(t, 1), FollowConfig{})
 	f.SeedInstalled(v0, raw0)
-	head, err := f.applyDeltaChain(chain)
+	head, err := f.applyDeltaChain(chain, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,5 +344,103 @@ func TestFollowerDeltaFallbackOnBadChain(t *testing.T) {
 	}
 	if st.Errors() != 0 {
 		t.Fatalf("delta fallback counted as a fetch failure: %+v", st)
+	}
+}
+
+// A delta chain cut after a whole link still parses and applies, but to
+// an older envelope than the head version it is stamped with. The
+// follower must compare the links it got with DeltaCountHeader, fall
+// back to a full fetch, and converge byte-identically on the head —
+// not install the truncated chain and then long-poll "at head" forever.
+func TestFollowerRejectsTruncatedChain(t *testing.T) {
+	trainer := newTrainedScorer(t, 120)
+	_, ts := newTestServer(t, trainer, Config{})
+
+	replica, v0, raw0, err := BootstrapRaw(context.Background(), nil, ts.URL, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Capture three structure changes past v0, so ?since=v0 answers
+	// with a three-link chain.
+	cur := v0
+	for i := 0; i < 3; i++ {
+		cur = advanceVersion(t, trainer, cur, int64(71+i))
+		if _, _, err := Fetch(context.Background(), http.DefaultClient, ts.URL, ^uint64(0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The proxy passes every response through, except that it cuts a
+	// multi-link chain to its first link and keeps every header.
+	var truncated atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Get(ts.URL + r.URL.RequestURI())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		if resp.Header.Get("Content-Type") == ContentTypeDeltaChain {
+			br := bytes.NewReader(body)
+			if _, err := persist.ReadDelta(br); err == nil && br.Len() > 0 {
+				body = body[:len(body)-br.Len()]
+				truncated.Add(1)
+			}
+		}
+		for k, vs := range resp.Header {
+			if k != "Content-Length" {
+				w.Header()[k] = vs
+			}
+		}
+		w.WriteHeader(resp.StatusCode)
+		w.Write(body)
+	}))
+	t.Cleanup(proxy.Close)
+
+	f := NewFollower(proxy.URL, replica, FollowConfig{Interval: 2 * time.Millisecond, Timeout: 2 * time.Second})
+	f.SeedInstalled(v0, raw0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); f.Run(ctx) }()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v, ok := f.InstalledVersion(); ok && v == cur {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never converged to %d: %+v", cur, f.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+
+	if truncated.Load() == 0 {
+		t.Fatal("the proxy never truncated a chain")
+	}
+	st := f.Stats()
+	if st.DeltaFallbacks == 0 {
+		t.Fatalf("a truncated chain was installed without a fallback: %+v", st)
+	}
+	if st.Errors() != 0 || st.BreakerOpens != 0 {
+		t.Fatalf("delta fallback counted as a fetch failure: %+v", st)
+	}
+	rawHead, _, err := Fetch(context.Background(), http.DefaultClient, ts.URL, ^uint64(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repCkpt bytes.Buffer
+	if err := replica.Checkpoint(&repCkpt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(repCkpt.Bytes(), rawHead) {
+		t.Fatal("replica checkpoint differs from the trainer's head envelope")
 	}
 }

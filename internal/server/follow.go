@@ -71,8 +71,8 @@ func classify(err error) Cause {
 }
 
 // httpClient is the one client constructor of the replica protocol:
-// every caller (Fetch, Bootstrap, Follower, heartbeats, ReplicaSet)
-// goes through it instead of growing its own ad-hoc http.Client.
+// every caller (Fetch, BootstrapRaw, Follower, heartbeats) goes
+// through it instead of growing its own ad-hoc http.Client.
 func httpClient(transport http.RoundTripper, timeout time.Duration) *http.Client {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -105,11 +105,8 @@ type FollowConfig struct {
 	// Timeout is the per-fetch budget (client timeout and context
 	// deadline). Default Wait + 30s, so a long poll always fits.
 	Timeout time.Duration
-	// Client is the HTTP client used for fetches. Nil builds one from
-	// Transport and Timeout via the shared constructor.
-	Client *http.Client
-	// Transport, when Client is nil, is the transport of the built
-	// client — the fault-injection hook (nil = http.DefaultTransport).
+	// Transport is the transport of the fetch client — the
+	// fault-injection hook (nil = http.DefaultTransport).
 	Transport http.RoundTripper
 	// BackoffBase is the first retry backoff (default 100ms); each
 	// consecutive failure doubles it up to BackoffMax (default 10s),
@@ -148,9 +145,6 @@ func (c FollowConfig) withDefaults() FollowConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = c.Wait + 30*time.Second
 	}
-	if c.Client == nil {
-		c.Client = httpClient(c.Transport, c.Timeout)
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 100 * time.Millisecond
 	}
@@ -180,7 +174,7 @@ func (c FollowConfig) withDefaults() FollowConfig {
 // come back as a *FetchError classifying the cause and carrying any
 // Retry-After hint; the request is bound to ctx end to end.
 func Fetch(ctx context.Context, client *http.Client, baseURL string, version uint64, wait time.Duration) ([]byte, uint64, error) {
-	raw, v, _, err := fetchEnvelope(ctx, client, baseURL, version, wait, 0, false)
+	raw, v, _, _, err := fetchEnvelope(ctx, client, baseURL, version, wait, 0, false)
 	return raw, v, err
 }
 
@@ -191,16 +185,20 @@ func Fetch(ctx context.Context, client *http.Client, baseURL string, version uin
 // concatenation of delta envelopes to apply against the caller's base
 // (see persist.ApplyChain) and the returned version is the chain head.
 func FetchSince(ctx context.Context, client *http.Client, baseURL string, version uint64, wait time.Duration, since uint64) (raw []byte, v uint64, isDelta bool, err error) {
-	return fetchEnvelope(ctx, client, baseURL, version, wait, since, true)
+	raw, v, isDelta, _, err = fetchEnvelope(ctx, client, baseURL, version, wait, since, true)
+	return raw, v, isDelta, err
 }
 
-func fetchEnvelope(ctx context.Context, client *http.Client, baseURL string, version uint64, wait time.Duration, since uint64, haveSince bool) ([]byte, uint64, bool, error) {
+// fetchEnvelope is Fetch and FetchSince in one; for a delta chain it
+// also returns the link count its DeltaCountHeader promises (-1 when
+// the header is missing or malformed).
+func fetchEnvelope(ctx context.Context, client *http.Client, baseURL string, version uint64, wait time.Duration, since uint64, haveSince bool) ([]byte, uint64, bool, int, error) {
 	if client == nil {
 		client = httpClient(nil, wait+30*time.Second)
 	}
 	u, err := url.Parse(baseURL)
 	if err != nil {
-		return nil, 0, false, &FetchError{Cause: CauseDecode, Err: fmt.Errorf("bad base URL: %w", err)}
+		return nil, 0, false, 0, &FetchError{Cause: CauseDecode, Err: fmt.Errorf("bad base URL: %w", err)}
 	}
 	u = u.JoinPath("/v1/envelope")
 	q := u.Query()
@@ -216,21 +214,21 @@ func fetchEnvelope(ctx context.Context, client *http.Client, baseURL string, ver
 	u.RawQuery = q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
-		return nil, 0, false, &FetchError{Cause: CauseDecode, Err: err}
+		return nil, 0, false, 0, &FetchError{Cause: CauseDecode, Err: err}
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, 0, false, &FetchError{Cause: classify(err), Err: err}
+		return nil, 0, false, 0, &FetchError{Cause: classify(err), Err: err}
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		io.Copy(io.Discard, resp.Body)
-		return nil, version, false, nil
+		return nil, version, false, 0, nil
 	case http.StatusOK:
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return nil, 0, false, &FetchError{
+		return nil, 0, false, 0, &FetchError{
 			Cause:      CauseStatus,
 			Status:     resp.StatusCode,
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
@@ -243,13 +241,20 @@ func fetchEnvelope(ctx context.Context, client *http.Client, baseURL string, ver
 		if c := classify(err); c == CauseTimeout {
 			cause = c
 		}
-		return nil, 0, false, &FetchError{Cause: cause, Err: fmt.Errorf("read envelope: %w", err)}
+		return nil, 0, false, 0, &FetchError{Cause: cause, Err: fmt.Errorf("read envelope: %w", err)}
 	}
 	v, err := strconv.ParseUint(resp.Header.Get(VersionHeader), 10, 64)
 	if err != nil {
-		return nil, 0, false, &FetchError{Cause: CauseDecode, Err: fmt.Errorf("envelope missing %s header: %w", VersionHeader, err)}
+		return nil, 0, false, 0, &FetchError{Cause: CauseDecode, Err: fmt.Errorf("envelope missing %s header: %w", VersionHeader, err)}
 	}
-	return raw, v, resp.Header.Get("Content-Type") == ContentTypeDeltaChain, nil
+	if resp.Header.Get("Content-Type") != ContentTypeDeltaChain {
+		return raw, v, false, 0, nil
+	}
+	links, err := strconv.Atoi(resp.Header.Get(DeltaCountHeader))
+	if err != nil {
+		links = -1
+	}
+	return raw, v, true, links, nil
 }
 
 // parseRetryAfter reads an RFC 9110 delay-seconds Retry-After value
@@ -322,6 +327,7 @@ type Follower struct {
 	baseURL string
 	sc      serve.Scorer
 	cfg     FollowConfig
+	client  *http.Client
 	br      *breaker
 	rng     *rand.Rand // jitter; only touched by the Run goroutine
 
@@ -356,6 +362,7 @@ func NewFollower(baseURL string, sc serve.Scorer, cfg FollowConfig) *Follower {
 		baseURL: baseURL,
 		sc:      sc,
 		cfg:     cfg,
+		client:  httpClient(cfg.Transport, cfg.Timeout),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		started: time.Now(),
 	}
@@ -395,11 +402,11 @@ func (f *Follower) InstalledVersion() (uint64, bool) {
 	return f.installedVersion.Load(), f.hasInstalled.Load()
 }
 
-// SeedInstalled records an envelope installed out of band (a Bootstrap
-// that already constructed the scorer) so the follow loop resumes from
-// its version instead of refetching, and — given the raw envelope
-// bytes — can ask the trainer for delta chains from the first poll.
-// Call before Run.
+// SeedInstalled records an envelope installed out of band (a
+// BootstrapRaw that already constructed the scorer) so the follow loop
+// resumes from its version instead of refetching, and — given the raw
+// envelope bytes — can ask the trainer for delta chains from the first
+// poll. Call before Run.
 func (f *Follower) SeedInstalled(v uint64, raw []byte) {
 	f.lastRaw = raw
 	f.installedVersion.Store(v)
@@ -466,8 +473,12 @@ func (f *Follower) install(raw []byte, v uint64) error {
 // envelopes) and applies it to the last installed envelope bytes,
 // returning the reconstructed head envelope — byte-identical to the
 // full envelope the trainer would have served, or an error when any
-// link is truncated, out of order, gapped or keyed to a different base.
-func (f *Follower) applyDeltaChain(chain []byte) ([]byte, error) {
+// link is truncated, out of order, gapped or keyed to a different base,
+// or when the body does not hold exactly the links its
+// DeltaCountHeader promised (links, -1 when absent): a chain cut after
+// a whole link still applies, but to an older envelope than the head
+// it is stamped with.
+func (f *Follower) applyDeltaChain(chain []byte, links int) ([]byte, error) {
 	br := bytes.NewReader(chain)
 	var ds []*persist.Delta
 	for br.Len() > 0 {
@@ -479,6 +490,9 @@ func (f *Follower) applyDeltaChain(chain []byte) ([]byte, error) {
 	}
 	if len(ds) == 0 {
 		return nil, errors.New("delta chain: empty body")
+	}
+	if len(ds) != links {
+		return nil, fmt.Errorf("delta chain: %d links, %s promised %d", len(ds), DeltaCountHeader, links)
 	}
 	return persist.ApplyChain(f.lastRaw, ds...)
 }
@@ -537,15 +551,8 @@ func (f *Follower) Run(ctx context.Context) error {
 			continue
 		}
 		fctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
-		var raw []byte
-		var v uint64
-		var isDelta bool
-		var err error
-		if f.lastRaw != nil && have != ^uint64(0) {
-			raw, v, isDelta, err = FetchSince(fctx, f.cfg.Client, f.baseURL, have, f.cfg.Wait, have)
-		} else {
-			raw, v, err = Fetch(fctx, f.cfg.Client, f.baseURL, have, f.cfg.Wait)
-		}
+		deltaBase := f.lastRaw != nil && have != ^uint64(0)
+		raw, v, isDelta, links, err := fetchEnvelope(fctx, f.client, f.baseURL, have, f.cfg.Wait, have, deltaBase)
 		cancel()
 		f.fetches.Add(1)
 		if ctx.Err() != nil {
@@ -558,12 +565,13 @@ func (f *Follower) Run(ctx context.Context) error {
 			} else {
 				full := raw
 				if isDelta {
-					head, derr := f.applyDeltaChain(raw)
+					head, derr := f.applyDeltaChain(raw, links)
 					if derr != nil {
 						// The chain is unusable (gap, wrong base, corrupt
-						// link) but the trainer is reachable: count the
-						// fallback, drop the delta base and refetch full
-						// immediately — no breaker penalty, no backoff.
+						// or missing link) but the trainer is reachable:
+						// count the fallback, drop the delta base and
+						// refetch full immediately — no breaker penalty,
+						// no backoff.
 						f.deltaFallbacks.Add(1)
 						if f.cfg.OnError != nil {
 							f.cfg.OnError(CauseDecode, derr)
@@ -617,25 +625,13 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// Follow runs a replica's pull loop against a trainer's /v1/envelope
-// until ctx is cancelled — NewFollower(...).Run(ctx) for callers that
-// don't need the Follower handle (stats, staleness, breaker state).
-func Follow(ctx context.Context, baseURL string, sc serve.Scorer, cfg FollowConfig) error {
-	return NewFollower(baseURL, sc, cfg).Run(ctx)
-}
-
-// Bootstrap fetches the trainer's current envelope once and constructs
-// a local scorer from it (a racer's checkpoint reconstructs a racer).
-// This is how `dmtserve -follow` starts with no local model.
-// A nil client gets the shared default; the fetch is bound to ctx.
-func Bootstrap(ctx context.Context, client *http.Client, baseURL string, publishEvery int) (serve.Scorer, uint64, error) {
-	sc, v, _, err := BootstrapRaw(ctx, client, baseURL, publishEvery)
-	return sc, v, err
-}
-
-// BootstrapRaw is Bootstrap returning also the fetched envelope's
-// verbatim wire bytes, so the caller can seed a Follower's delta base
-// (SeedInstalled) and the first follow poll already negotiates deltas.
+// BootstrapRaw fetches the trainer's current envelope once and
+// constructs a local scorer from it (a racer's checkpoint reconstructs
+// a racer) — how `dmtserve -follow` starts with no local model. It
+// returns the envelope's verbatim wire bytes too, so the caller can
+// seed a Follower's delta base (SeedInstalled) and the first follow
+// poll already negotiates deltas. A nil client gets the shared
+// default; the fetch is bound to ctx.
 func BootstrapRaw(ctx context.Context, client *http.Client, baseURL string, publishEvery int) (serve.Scorer, uint64, []byte, error) {
 	if client == nil {
 		client = httpClient(nil, 30*time.Second)

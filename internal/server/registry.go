@@ -283,187 +283,3 @@ func (s *Server) handleReplicaList(w http.ResponseWriter, _ *http.Request) {
 	v, hasV := s.scorer.StructureVersion()
 	writeJSON(w, ReplicaList{TrainerVersion: v, HasTrainerVersion: hasV, Replicas: s.reg.List(v, hasV)})
 }
-
-// --- client-side picker ----------------------------------------------
-
-// ReplicaSetConfig tunes a ReplicaSet.
-type ReplicaSetConfig struct {
-	// Refresh is the registry poll period of Run (default 1s).
-	Refresh time.Duration
-	// BreakerThreshold opens a replica's circuit after this many
-	// consecutive reported failures (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is each replica breaker's open -> half-open
-	// delay (default 2s).
-	BreakerCooldown time.Duration
-	// Client fetches the replica list (nil = shared default, 5s
-	// timeout).
-	Client *http.Client
-	// OnStateChange, when non-nil, observes per-replica breaker
-	// transitions (ejections and readmissions).
-	OnStateChange func(id string, from, to BreakerState)
-}
-
-func (c ReplicaSetConfig) withDefaults() ReplicaSetConfig {
-	if c.Refresh <= 0 {
-		c.Refresh = time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = httpClient(nil, 5*time.Second)
-	}
-	return c
-}
-
-// ReplicaSet is the load-balancer side of the registry: it polls the
-// trainer's GET /v1/replicas, keeps the health-gated listing, and
-// round-robins Pick over the replicas that are both registry-healthy
-// and admitted by their local circuit breaker. Callers Report each
-// request's outcome; consecutive failures eject a replica (its breaker
-// opens), and a successful half-open probe readmits it.
-type ReplicaSet struct {
-	trainerURL string
-	cfg        ReplicaSetConfig
-
-	mu       sync.Mutex
-	replicas []ReplicaInfo
-	breakers map[string]*breaker
-	next     int
-}
-
-// NewReplicaSet builds a ReplicaSet over the trainer's registry. Call
-// Refresh (or start Run) before the first Pick.
-func NewReplicaSet(trainerURL string, cfg ReplicaSetConfig) *ReplicaSet {
-	return &ReplicaSet{
-		trainerURL: trainerURL,
-		cfg:        cfg.withDefaults(),
-		breakers:   make(map[string]*breaker),
-	}
-}
-
-// Refresh pulls the current replica list from the trainer.
-func (rs *ReplicaSet) Refresh(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rs.trainerURL+"/v1/replicas", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rs.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("follow: replica list: %s", resp.Status)
-	}
-	var list ReplicaList
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return fmt.Errorf("follow: replica list: %w", err)
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.replicas = list.Replicas
-	// Prune breakers of replicas that left the registry.
-	alive := make(map[string]bool, len(list.Replicas))
-	for _, r := range list.Replicas {
-		alive[r.ID] = true
-	}
-	for id := range rs.breakers {
-		if !alive[id] {
-			delete(rs.breakers, id)
-		}
-	}
-	return nil
-}
-
-// Run refreshes on the configured period until ctx is cancelled.
-func (rs *ReplicaSet) Run(ctx context.Context) error {
-	t := time.NewTicker(rs.cfg.Refresh)
-	defer t.Stop()
-	for {
-		_ = rs.Refresh(ctx)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-// breakerFor returns (creating if needed) the replica's breaker;
-// callers hold rs.mu.
-func (rs *ReplicaSet) breakerFor(id string) *breaker {
-	b, ok := rs.breakers[id]
-	if !ok {
-		onChange := rs.cfg.OnStateChange
-		var cb func(from, to BreakerState)
-		if onChange != nil {
-			cb = func(from, to BreakerState) { onChange(id, from, to) }
-		}
-		b = newBreaker(rs.cfg.BreakerThreshold, rs.cfg.BreakerCooldown, cb)
-		rs.breakers[id] = b
-	}
-	return b
-}
-
-// Pick returns the next replica in round-robin order among those that
-// are registry-healthy (fresh heartbeat, ready, within the lag gate)
-// and whose circuit breaker admits a call. ok is false when no replica
-// qualifies — the caller should fall back (e.g. to the trainer) or
-// shed the request.
-func (rs *ReplicaSet) Pick() (ReplicaInfo, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	n := len(rs.replicas)
-	for i := 0; i < n; i++ {
-		r := rs.replicas[rs.next%n]
-		rs.next++
-		if !r.Healthy {
-			continue
-		}
-		if !rs.breakerFor(r.ID).allow() {
-			continue
-		}
-		return r, true
-	}
-	return ReplicaInfo{}, false
-}
-
-// Report feeds a request outcome into the replica's breaker: failures
-// eject it after the threshold, a successful probe readmits it.
-func (rs *ReplicaSet) Report(id string, ok bool) {
-	rs.mu.Lock()
-	b := rs.breakerFor(id)
-	rs.mu.Unlock()
-	if ok {
-		b.success()
-	} else {
-		b.failure()
-	}
-}
-
-// Healthy returns how many replicas of the last refresh are
-// registry-healthy (before breaker gating).
-func (rs *ReplicaSet) Healthy() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	n := 0
-	for _, r := range rs.replicas {
-		if r.Healthy {
-			n++
-		}
-	}
-	return n
-}
-
-// Len returns the replica count of the last refresh.
-func (rs *ReplicaSet) Len() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.replicas)
-}

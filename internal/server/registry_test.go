@@ -158,102 +158,6 @@ func TestRunHeartbeats(t *testing.T) {
 	}
 }
 
-// The client-side picker: round-robins the healthy replicas, skips
-// unhealthy ones, ejects a replica whose reported failures open its
-// breaker, and readmits it after a successful half-open probe.
-func TestReplicaSetPickAndBreaker(t *testing.T) {
-	sc := newTrainedScorer(t, 20)
-	srv, ts := newTestServer(t, sc, Config{Registry: RegistryConfig{TTL: time.Minute}})
-	v, _ := sc.StructureVersion()
-	srv.Registry().Upsert(ReplicaAnnounce{ID: "r1", URL: "http://r1", Version: v, HasVersion: true, Ready: true})
-	srv.Registry().Upsert(ReplicaAnnounce{ID: "r2", URL: "http://r2", Version: v, HasVersion: true, Ready: true})
-	srv.Registry().Upsert(ReplicaAnnounce{ID: "r3", URL: "http://r3", Ready: false}) // draining
-
-	var mu sync.Mutex
-	var events []string
-	rs := NewReplicaSet(ts.URL, ReplicaSetConfig{
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		OnStateChange: func(id string, from, to BreakerState) {
-			mu.Lock()
-			events = append(events, id+":"+from.String()+"->"+to.String())
-			mu.Unlock()
-		},
-	})
-	if err := rs.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Len() != 3 || rs.Healthy() != 2 {
-		t.Fatalf("len %d healthy %d, want 3/2", rs.Len(), rs.Healthy())
-	}
-
-	// Round-robin over the healthy pair only; the draining replica is
-	// never picked.
-	picked := map[string]int{}
-	for i := 0; i < 10; i++ {
-		r, ok := rs.Pick()
-		if !ok {
-			t.Fatal("no replica picked with two healthy")
-		}
-		picked[r.ID]++
-	}
-	if picked["r3"] != 0 {
-		t.Fatal("draining replica was picked")
-	}
-	if picked["r1"] != 5 || picked["r2"] != 5 {
-		t.Fatalf("round-robin skew: %+v", picked)
-	}
-
-	// Two reported failures eject r1: picks converge on r2.
-	rs.Report("r1", false)
-	rs.Report("r1", false)
-	for i := 0; i < 5; i++ {
-		r, ok := rs.Pick()
-		if !ok || r.ID != "r2" {
-			t.Fatalf("pick %d: %q (ok=%v), want r2 only after r1 ejected", i, r.ID, ok)
-		}
-	}
-
-	// After the cooldown r1 gets one probe; reporting success readmits.
-	time.Sleep(60 * time.Millisecond)
-	probed := false
-	for i := 0; i < 4; i++ {
-		r, _ := rs.Pick()
-		if r.ID == "r1" {
-			probed = true
-			rs.Report("r1", true)
-			break
-		}
-	}
-	if !probed {
-		t.Fatal("ejected replica never probed after cooldown")
-	}
-	picked = map[string]int{}
-	for i := 0; i < 10; i++ {
-		r, _ := rs.Pick()
-		picked[r.ID]++
-	}
-	if picked["r1"] == 0 {
-		t.Fatal("readmitted replica never picked again")
-	}
-
-	mu.Lock()
-	seq := events
-	mu.Unlock()
-	if len(seq) < 3 {
-		t.Fatalf("breaker transitions not observed: %v", seq)
-	}
-
-	// All replicas ejected -> Pick reports no candidate.
-	rs.Report("r1", false)
-	rs.Report("r1", false)
-	rs.Report("r2", false)
-	rs.Report("r2", false)
-	if _, ok := rs.Pick(); ok {
-		t.Fatal("Pick succeeded with every breaker open")
-	}
-}
-
 // gatedRestoreScorer blocks Restore until released, so a test can
 // observe readiness mid-install.
 type gatedRestoreScorer struct {

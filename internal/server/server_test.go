@@ -540,7 +540,7 @@ func TestFollowReplicaConvergence(t *testing.T) {
 	trainer := newTrainedScorer(t, 120)
 	_, trainerTS := newTestServer(t, trainer, Config{})
 
-	replica, v0, err := Bootstrap(context.Background(), nil, trainerTS.URL, 1)
+	replica, v0, _, err := BootstrapRaw(context.Background(), nil, trainerTS.URL, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,11 +558,11 @@ func TestFollowReplicaConvergence(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Follow(ctx, trainerTS.URL, replica, FollowConfig{
+		NewFollower(trainerTS.URL, replica, FollowConfig{
 			Interval:  20 * time.Millisecond,
 			Wait:      2 * time.Second,
 			OnInstall: func(v uint64) { installed <- v },
-		})
+		}).Run(ctx)
 	}()
 
 	// Replica reads must not fail while envelopes install underneath.

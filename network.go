@@ -32,10 +32,10 @@ type (
 	// interval, long-poll duration, retry backoff, circuit breaker,
 	// drain hooks and failure callbacks.
 	FollowConfig = server.FollowConfig
-	// Follower is the resilient replica pull loop behind Follow:
-	// exponential backoff with full jitter, Retry-After-aware 429/503
-	// handling, a circuit breaker against a down trainer, and per-cause
-	// error counters (FollowStats). It implements StalenessSource.
+	// Follower is the resilient replica pull loop: exponential backoff
+	// with full jitter, Retry-After-aware 429/503 handling, a circuit
+	// breaker against a down trainer, and per-cause error counters
+	// (FollowStats). It implements StalenessSource.
 	Follower = server.Follower
 	// FollowStats snapshots a Follower's lifetime counters.
 	FollowStats = server.FollowStats
@@ -63,13 +63,6 @@ type (
 	ReplicaAnnounce = server.ReplicaAnnounce
 	// ReplicaList is the GET /v1/replicas document.
 	ReplicaList = server.ReplicaList
-	// ReplicaSet is the client-side picker over a trainer's registry:
-	// round-robin across health-gated replicas with a per-replica
-	// circuit breaker (eject on consecutive failures, readmit on a
-	// successful half-open probe).
-	ReplicaSet = server.ReplicaSet
-	// ReplicaSetConfig tunes a ReplicaSet.
-	ReplicaSetConfig = server.ReplicaSetConfig
 	// FaultInjector injects deterministic, seedable faults into HTTP
 	// round trips and listeners — the chaos harness behind `dmtserve
 	// -chaos` and the chaos test suite.
@@ -105,16 +98,6 @@ func NewPredictionServer(s Scorer, cfg ServerConfig) *PredictionServer {
 	return server.New(s, cfg)
 }
 
-// ListenAndServe serves prediction traffic for s on addr until the
-// context is cancelled, then drains with a graceful shutdown. The
-// scorer may keep learning concurrently; /v1/swap and the envelope
-// endpoint make the process a drop-in trainer for replica fleets.
-func ListenAndServe(ctx context.Context, addr string, s Scorer, cfg ServerConfig) error {
-	ps := NewPredictionServer(s, cfg)
-	defer ps.Close()
-	return ServePrediction(ctx, addr, ps, nil)
-}
-
 // ServePrediction serves an already-built PredictionServer on addr
 // until ctx is cancelled, then drains with a graceful shutdown. A
 // non-nil ln overrides addr with a prepared listener — the hook for
@@ -124,15 +107,15 @@ func ListenAndServe(ctx context.Context, addr string, s Scorer, cfg ServerConfig
 // parked long-polls release promptly and pending predictions fail fast
 // with 503 instead of hanging into the shutdown deadline.
 func ServePrediction(ctx context.Context, addr string, ps *PredictionServer, ln net.Listener) error {
-	hs := &http.Server{Addr: addr, Handler: ps.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if ln != nil {
-			errc <- hs.Serve(ln)
-		} else {
-			errc <- hs.ListenAndServe()
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			return err
 		}
-	}()
+	}
+	hs := &http.Server{Handler: ps.Handler()}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
@@ -145,28 +128,15 @@ func ServePrediction(ctx context.Context, addr string, ps *PredictionServer, ln 
 	}
 }
 
-// Follow runs a replica's pull loop against a trainer's /v1/envelope
-// endpoint until ctx is cancelled: whenever the trainer's structure
-// version moves past the last installed one, the new envelope is
-// streamed into s via Restore — reads served from s never fail during
-// an install.
-func Follow(ctx context.Context, trainerURL string, s Scorer, cfg FollowConfig) error {
-	return server.Follow(ctx, trainerURL, s, cfg)
-}
-
-// NewFollower builds the resilient pull loop behind Follow as a handle:
-// start it with Run, observe it through Stats/State/Staleness, and feed
-// it to PredictionServer.SetStalenessSource so degraded responses are
+// NewFollower builds a replica's pull loop against a trainer's
+// /v1/envelope endpoint: whenever the trainer's structure version moves
+// past the last installed one, the new envelope is streamed into s via
+// Restore — reads served from s never fail during an install. Start it
+// with Run, observe it through Stats/State/Staleness, and feed it to
+// PredictionServer.SetStalenessSource so degraded responses are
 // stamped with their lag.
 func NewFollower(trainerURL string, s Scorer, cfg FollowConfig) *Follower {
 	return server.NewFollower(trainerURL, s, cfg)
-}
-
-// NewReplicaSet builds a client-side picker over the trainer's replica
-// registry. Start Run (or call Refresh) before the first Pick; Report
-// each request's outcome to drive the per-replica breakers.
-func NewReplicaSet(trainerURL string, cfg ReplicaSetConfig) *ReplicaSet {
-	return server.NewReplicaSet(trainerURL, cfg)
 }
 
 // RunHeartbeats announces state() to the trainer's registry every
@@ -194,23 +164,12 @@ func ParseFaults(spec string) ([]FaultRule, error) {
 // builds a local Scorer from it — how a stateless replica starts with
 // no model of its own. A racer's checkpoint reconstructs a racer;
 // publishEvery sets the snapshot publish cadence of a reconstructed
-// single model.
-func BootstrapScorer(ctx context.Context, trainerURL string, publishEvery int) (Scorer, uint64, error) {
-	return server.Bootstrap(ctx, nil, trainerURL, publishEvery)
-}
-
-// BootstrapScorerWith is BootstrapScorer through a caller-owned
-// http.Client — the hook for custom timeouts or a fault-injecting
-// transport.
-func BootstrapScorerWith(ctx context.Context, client *http.Client, trainerURL string, publishEvery int) (Scorer, uint64, error) {
-	return server.Bootstrap(ctx, client, trainerURL, publishEvery)
-}
-
-// BootstrapScorerRaw is BootstrapScorerWith returning the fetched
-// envelope bytes alongside the Scorer — seed them into a Follower with
-// SeedInstalled so its very first poll can negotiate delta chains
-// (GET /v1/envelope?since=V) instead of refetching full envelopes.
-func BootstrapScorerRaw(ctx context.Context, client *http.Client, trainerURL string, publishEvery int) (Scorer, uint64, []byte, error) {
+// single model. It returns the envelope's version and bytes too: seed
+// them into a Follower with SeedInstalled so its very first poll can
+// negotiate delta chains (GET /v1/envelope?since=V) instead of
+// refetching the full envelope. A nil client gets a sane default; pass
+// one for custom timeouts or a fault-injecting transport.
+func BootstrapScorer(ctx context.Context, client *http.Client, trainerURL string, publishEvery int) (Scorer, uint64, []byte, error) {
 	return server.BootstrapRaw(ctx, client, trainerURL, publishEvery)
 }
 
